@@ -14,7 +14,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.environment import SearchEnvironment
-from repro.core.frame_order import UniformOrder
+from repro.core.frame_order import UniformChunkOrders
 from repro.core.registry import register_searcher
 from repro.core.sampler import Searcher
 from repro.errors import ConfigError
@@ -45,14 +45,11 @@ class OracleStaticSearcher(Searcher):
         self.weights = weights / weights.sum()
         self.batch_size = max(int(batch_size), 1)
         self._chunk_rng = self.rngs.stream("chunk-choice")
-        self._orders = [
-            UniformOrder(int(size), self.rngs.stream("order", j))
-            for j, size in enumerate(self.sizes)
-        ]
+        self._orders = UniformChunkOrders(self.sizes, self.rngs)
 
     def pick_batch(self) -> List[Tuple[int, int]]:
         picks: List[Tuple[int, int]] = []
-        remaining = np.array([o.remaining for o in self._orders], dtype=float)
+        remaining = self._orders.remaining
         for _ in range(self.batch_size):
             active = remaining > 0
             if not np.any(active):
@@ -66,8 +63,7 @@ class OracleStaticSearcher(Searcher):
                 total = probs.sum()
             probs = probs / total
             chunk = int(self._chunk_rng.choice(probs.size, p=probs))
-            picks.append((chunk, self._orders[chunk].next()))
-            remaining[chunk] -= 1
+            picks.append((chunk, self._orders.next(chunk)))
         return picks
 
 

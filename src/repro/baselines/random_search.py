@@ -13,10 +13,8 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-import numpy as np
-
 from repro.core.environment import SearchEnvironment
-from repro.core.frame_order import UniformOrder
+from repro.core.frame_order import UniformChunkOrders
 from repro.core.registry import register_searcher
 from repro.core.sampler import Searcher
 from repro.utils.rng import RngFactory
@@ -36,22 +34,18 @@ class RandomSearcher(Searcher):
         super().__init__(env, rng)
         self.batch_size = max(int(batch_size), 1)
         self._chunk_rng = self.rngs.stream("chunk-choice")
-        self._orders = [
-            UniformOrder(int(size), self.rngs.stream("order", j))
-            for j, size in enumerate(self.sizes)
-        ]
+        self._orders = UniformChunkOrders(self.sizes, self.rngs)
 
     def pick_batch(self) -> List[Tuple[int, int]]:
         picks: List[Tuple[int, int]] = []
-        remaining = np.array([o.remaining for o in self._orders], dtype=float)
+        remaining = self._orders.remaining
         for _ in range(self.batch_size):
             total = remaining.sum()
             if total <= 0:
                 break
             probs = remaining / total
             chunk = int(self._chunk_rng.choice(remaining.size, p=probs))
-            picks.append((chunk, self._orders[chunk].next()))
-            remaining[chunk] -= 1
+            picks.append((chunk, self._orders.next(chunk)))
         return picks
 
 

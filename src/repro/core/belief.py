@@ -151,14 +151,15 @@ class ThompsonPolicy(ChunkPolicy):
     """The paper's policy: argmax over one Gamma draw per chunk (line 4-6)."""
 
     def choose(self, alphas, betas, active, rng, step, batch=1):
-        n_chunks = alphas.shape[0]
         # One draw per (batch, chunk); argmax row-wise. Matches the batched
         # variant of §III-F: "we draw B samples per chunk j instead of one".
-        draws = rng.gamma(
-            shape=np.broadcast_to(alphas, (batch, n_chunks)),
-            scale=1.0 / np.broadcast_to(betas, (batch, n_chunks)),
-        )
-        draws = np.where(active[None, :], draws, -np.inf)
+        # ``rng.gamma(shape, scale)`` computes ``scale * standard_gamma``
+        # element by element in C order, so drawing standard gammas and
+        # scaling by the same ``1.0 / betas`` in place consumes the stream
+        # and rounds exactly as the broadcast ``gamma`` call did.
+        draws = rng.standard_gamma(alphas, size=(batch, alphas.shape[0]))
+        draws *= 1.0 / betas
+        np.copyto(draws, -np.inf, where=np.logical_not(active))
         return np.argmax(draws, axis=1)
 
 

@@ -32,6 +32,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ExhaustedError
+from repro.utils.rng import RngFactory
 
 
 class FrameOrder:
@@ -98,8 +99,51 @@ class UniformOrder(FrameOrder):
                 return candidate
 
 
+class UniformChunkOrders:
+    """One :class:`UniformOrder` per chunk, each built on its first pick.
+
+    The repository-wide uniform baselines pick a chunk with probability
+    proportional to its unpicked frames, then take that chunk's next
+    frame. Chunk ``j``'s order is seeded from ``rngs.stream("order", j)``
+    whenever it is built, so when it is built moves no random draw, and a
+    search that touches a few hundred of a thousand chunks seeds only
+    those. ``remaining`` holds the unpicked frame count of every chunk as
+    floats (the numerator of the chunk-choice probabilities), updated in
+    place by :meth:`next`.
+    """
+
+    def __init__(self, sizes: np.ndarray, rngs: RngFactory) -> None:
+        self._sizes = sizes
+        self._rngs = rngs
+        self._orders: list[Optional[UniformOrder]] = [None] * len(sizes)
+        self.remaining = np.array(sizes, dtype=float)
+
+    def next(self, chunk: int) -> int:
+        """Produce ``chunk``'s next frame."""
+        order = self._orders[chunk]
+        if order is None:
+            order = UniformOrder(
+                int(self._sizes[chunk]), self._rngs.stream("order", chunk)
+            )
+            self._orders[chunk] = order
+        frame = order.next()
+        self.remaining[chunk] -= 1
+        return frame
+
+
 class RandomPlusOrder(FrameOrder):
-    """The paper's random+ stratified order (§III-F)."""
+    """The paper's random+ stratified order (§III-F).
+
+    Construction builds no strata. Most chunks an ExSample run opens
+    yield a single frame, so with one initial stratum the first frame is
+    drawn directly: ``int(rng.random() * size)`` is the same double and
+    the same truncation as the level-0 draw inside the stratum
+    ``[0, size)``, and shuffling that level's one frame consumes no
+    randomness. The level-1 split is then built around that frame, and
+    every later level (and every level of ``initial_strata > 1``) runs on
+    strata arrays. The stream is therefore identical to building level 0
+    up front.
+    """
 
     def __init__(self, size: int, rng: np.random.Generator, initial_strata: int = 1):
         super().__init__(size)
@@ -108,13 +152,11 @@ class RandomPlusOrder(FrameOrder):
         self._rng = rng
         self._initial_strata = min(initial_strata, max(size, 1))
         self._level_iter: Iterator[int] = iter(())
-        # Each stratum is (lo, hi, pos) with pos = -1 when it holds no sample.
-        if size > 0:
+        # Each stratum is (lo, hi, pos) with pos = -1 when it holds no
+        # sample; None until the first draw of a single-stratum order.
+        self._lo = self._hi = self._pos = None
+        if self._initial_strata > 1:
             self._lo, self._hi, self._pos = self._initial_level(size)
-        else:
-            self._lo = np.empty(0, dtype=np.int64)
-            self._hi = np.empty(0, dtype=np.int64)
-            self._pos = np.empty(0, dtype=np.int64)
 
     def _initial_level(self, size: int):
         k = self._initial_strata
@@ -124,10 +166,29 @@ class RandomPlusOrder(FrameOrder):
         return lo[keep], hi[keep], np.full(int(keep.sum()), -1, dtype=np.int64)
 
     def _next_impl(self) -> int:
+        if self._lo is None:
+            return self._first_draw()
         while True:
             for frame in self._level_iter:
                 return frame
             self._advance_level()
+
+    def _first_draw(self) -> int:
+        """Level 0 of the single stratum ``[0, size)``, then its split."""
+        size = self.size
+        frame = int(self._rng.random() * size)
+        # Split [0, size) at mid exactly as _split_level would; a
+        # one-frame chunk has nothing left to split.
+        mid = size // 2
+        if size > 1:
+            self._lo = np.array([0, mid], dtype=np.int64)
+            self._hi = np.array([mid, size], dtype=np.int64)
+            self._pos = np.array(
+                [frame, -1] if frame < mid else [-1, frame], dtype=np.int64
+            )
+        else:
+            self._lo = self._hi = self._pos = np.empty(0, dtype=np.int64)
+        return frame
 
     def _advance_level(self) -> None:
         """Fill every sample-free stratum, emit in random order, then split."""

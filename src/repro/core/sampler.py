@@ -541,12 +541,6 @@ class SearchRun:
         """Freeze everything recorded so far into a :class:`SearchTrace`."""
         return self._trace.build()
 
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        # Checkpoints written before the request/fulfil split predate the
-        # outstanding-proposal flag; a restored run is at a batch boundary.
-        self.__dict__.setdefault("_outstanding", False)
-
 
 class ExSampleSearcher(Searcher):
     """Algorithm 1, with the batched-sampling extension of §III-F.

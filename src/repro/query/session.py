@@ -40,12 +40,14 @@ from repro.core.sampler import SearchRun, SearchStep, SearchTrace
 from repro.errors import QueryError
 
 #: Version tag embedded in checkpoints; bumped on incompatible layout changes.
-#: v1 pickled the session state as one flat dict; v2 wraps the pickled
+#: v1 pickled the session state as one flat dict; v2 wrapped the pickled
 #: state in an envelope carrying a payload digest and summary metadata, so
 #: checkpoints shipped over a wire (base64 frames between fleet shards) can
 #: be integrity-checked and routed without deserialising the search state.
-#: :meth:`QuerySession.restore` accepts both.
-CHECKPOINT_VERSION = 2
+#: v3 keeps that envelope; the uniform baselines now build chunk orders on
+#: first pick, which changed their pickled layout. Only the current version
+#: restores: an older blob gets a :class:`~repro.errors.QueryError`.
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -121,15 +123,8 @@ def peek_checkpoint(source: "Union[bytes, bytearray, str]") -> CheckpointInfo:
     Only the outer envelope is decoded; the search-state payload stays an
     opaque byte string (its digest is still verified, so a truncated or
     corrupted wire transfer is caught here, before any restore attempt).
-    v1 checkpoints carry no envelope — peeking one raises
-    :class:`~repro.errors.QueryError`; restore them directly instead.
     """
     envelope = _load_envelope(source)
-    if envelope["version"] < 2:
-        raise QueryError(
-            "v1 checkpoints carry no peekable envelope; "
-            "use QuerySession.restore()"
-        )
     meta = envelope["meta"]
     return CheckpointInfo(
         version=envelope["version"],
@@ -148,8 +143,8 @@ def _payload_digest(payload: bytes) -> str:
 def _load_envelope(source: "Union[bytes, bytearray, str]") -> dict:
     """Decode checkpoint bytes (or a file path) into the envelope dict.
 
-    For v2 envelopes the payload digest is verified; v1 flat dicts are
-    returned as-is (their ``run`` is already materialised).
+    The version must be :data:`CHECKPOINT_VERSION` and the payload digest
+    must match.
     """
     if isinstance(source, (bytes, bytearray)):
         blob = bytes(source)
@@ -163,18 +158,16 @@ def _load_envelope(source: "Union[bytes, bytearray, str]") -> dict:
     if not isinstance(state, dict) or "version" not in state:
         raise QueryError("not a QuerySession checkpoint")
     version = state["version"]
-    if version not in (1, CHECKPOINT_VERSION):
+    if version != CHECKPOINT_VERSION:
         raise QueryError(
             f"checkpoint version {version} is not supported "
-            f"(this library reads versions 1 and {CHECKPOINT_VERSION})"
+            f"(this library reads version {CHECKPOINT_VERSION} only)"
         )
-    if version >= 2:
-        digest = _payload_digest(state["payload"])
-        if digest != state["digest"]:
-            raise QueryError(
-                "checkpoint payload digest mismatch: the blob was "
-                "corrupted in transit or storage"
-            )
+    if _payload_digest(state["payload"]) != state["digest"]:
+        raise QueryError(
+            "checkpoint payload digest mismatch: the blob was "
+            "corrupted in transit or storage"
+        )
     return state
 
 
@@ -444,19 +437,17 @@ class QuerySession:
     def restore(source: "Union[bytes, bytearray, str]") -> "QuerySession":
         """Revive a session from :meth:`checkpoint` bytes or a file path.
 
-        Reads both v2 envelopes (digest-verified) and pre-envelope v1
-        blobs, so checkpoints written by earlier releases stay loadable.
+        Only :data:`CHECKPOINT_VERSION` envelopes restore (digest-verified);
+        a blob written by an older layout raises
+        :class:`~repro.errors.QueryError`.
         """
         envelope = _load_envelope(source)
-        if envelope["version"] >= 2:
-            try:
-                state = pickle.loads(envelope["payload"])
-            except Exception as exc:
-                raise QueryError(
-                    f"could not decode session checkpoint payload: {exc}"
-                ) from exc
-        else:
-            state = envelope
+        try:
+            state = pickle.loads(envelope["payload"])
+        except Exception as exc:
+            raise QueryError(
+                f"could not decode session checkpoint payload: {exc}"
+            ) from exc
         session = QuerySession(
             state["run"],
             query=state["query"],

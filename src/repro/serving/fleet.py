@@ -129,7 +129,7 @@ class FleetConfig:
     #: as raw transport errors on the affected handles.
     supervise: bool = True
     #: Auto-checkpoint supervised sessions every N fulfilled steps (the
-    #: router pauses at a batch boundary, pulls the v2 envelope over the
+    #: router pauses at a batch boundary, pulls the envelope over the
     #: wire, and resumes). A crash then costs at most N redone steps.
     #: None disables the cycle: sessions recover from scratch. Items
     #: with an explicit ``pause_after`` are exempt (a user staging pause
@@ -326,7 +326,7 @@ class FleetHandle:
         #: The router auto-checkpoints this session every
         #: ``checkpoint_every`` steps (set at submit time).
         self.supervised = False
-        #: Latest v2 checkpoint envelope held router-side — the recovery
+        #: Latest checkpoint envelope held router-side — the recovery
         #: table entry for this session (filled by the checkpoint cycle
         #: and by migrations).
         self.checkpoint_blob: Optional[bytes] = None

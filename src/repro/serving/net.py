@@ -34,7 +34,7 @@ final ``terminal`` frame whose ``state`` is ``finished`` / ``paused`` /
 is *exactly* the object a local ``engine.run`` returns — the fleet test
 suite asserts element-wise trace identity through this path.
 
-Checkpoints cross the wire as base64 v2 envelopes
+Checkpoints cross the wire as base64 checkpoint envelopes
 (:mod:`repro.query.session`), digest-verified on restore; pause →
 checkpoint → restore against another server is the live-migration
 primitive. A draining server answers ``submit`` with a typed

@@ -787,31 +787,37 @@ def serve_sessions(
     ``engine.serve()`` directly.
     """
     sessions = list(sessions)
+    outcomes: list = []
 
-    async def _go():
+    # _go returns None and hands its outcomes over through the closure.
+    # On CPython 3.11, asyncio.run restores SIGINT on the main thread via
+    # signal.getsignal/signal.signal, which build a message holding the
+    # repr() of the finished main task, and a task's repr includes its
+    # result: every QueryOutcome, numpy traces and all.
+    async def _go() -> None:
         server = QueryServer(engine, config)
         try:
             handles = [await server.submit(session=s) for s in sessions]
-            return [await h.result() for h in handles]
+            outcomes.extend([await h.result() for h in handles])
         finally:
             await server.aclose()
 
     try:
         asyncio.get_running_loop()
     except RuntimeError:
-        return asyncio.run(_go())
+        asyncio.run(_go())
+        return outcomes
     # Already inside a loop: asyncio.run would throw, and the historical
     # run_many was plain synchronous code that worked here. A dedicated
     # thread keeps that contract; the caller blocks on join, so the
     # engine is still touched by one thread at a time.
     import threading
 
-    results: list = []
     errors: list = []
 
     def _runner() -> None:
         try:
-            results.append(asyncio.run(_go()))
+            asyncio.run(_go())
         except BaseException as exc:  # noqa: BLE001 - re-raised below
             errors.append(exc)
 
@@ -820,4 +826,4 @@ def serve_sessions(
     thread.join()
     if errors:
         raise errors[0]
-    return results[0]
+    return outcomes

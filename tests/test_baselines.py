@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines import (
     OracleStaticSearcher,
@@ -11,6 +13,7 @@ from repro.baselines import (
     SequentialSearcher,
 )
 from repro.core.environment import CallbackEnvironment, Observation
+from repro.core.frame_order import UniformOrder
 from repro.errors import ConfigError
 from repro.utils.rng import RngFactory
 
@@ -75,6 +78,95 @@ class TestRandomSearcher:
         searcher = RandomSearcher(env, rng=RngFactory(3), batch_size=10)
         trace = searcher.run(frame_budget=30)
         assert trace.num_samples == 30
+
+
+class _EagerOrders:
+    """Every chunk's UniformOrder built up front, remaining counts rebuilt
+    from the orders on every pick: the baselines before lazy orders."""
+
+    def _build_orders(self):
+        self._orders = [
+            UniformOrder(int(size), self.rngs.stream("order", j))
+            for j, size in enumerate(self.sizes)
+        ]
+
+    def pick_batch(self):
+        picks = []
+        remaining = np.array([o.remaining for o in self._orders], dtype=float)
+        for _ in range(self.batch_size):
+            probs = self._probs(remaining)
+            if probs is None:
+                break
+            chunk = int(self._chunk_rng.choice(probs.size, p=probs))
+            picks.append((chunk, self._orders[chunk].next()))
+            remaining[chunk] -= 1
+        return picks
+
+
+class _EagerRandomSearcher(_EagerOrders, RandomSearcher):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build_orders()
+
+    def _probs(self, remaining):
+        total = remaining.sum()
+        return None if total <= 0 else remaining / total
+
+
+class _EagerOracleSearcher(_EagerOrders, OracleStaticSearcher):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._build_orders()
+
+    def _probs(self, remaining):
+        active = remaining > 0
+        if not np.any(active):
+            return None
+        probs = np.where(active, self.weights, 0.0)
+        if probs.sum() <= 0:
+            probs = np.where(active, remaining, 0.0)
+        return probs / probs.sum()
+
+
+class TestLazyOrdersMatchEager:
+    """Building a chunk's order on first pick moves no random draw."""
+
+    @given(
+        st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=8),
+        st.integers(0, 2**32),
+        st.sampled_from([1, 3]),
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_same_picks_to_exhaustion(self, sizes, seed, batch, data):
+        if sum(sizes) == 0:
+            sizes[0] = 1
+        # Oracle weights with zeros, so weighted chunks run dry and the
+        # uniform fallback over what remains takes over.
+        raw = np.array(
+            data.draw(st.lists(
+                st.sampled_from([0.0, 1.0, 2.5, 7.0]),
+                min_size=len(sizes), max_size=len(sizes),
+            ))
+        )
+        raw[int(np.argmax(sizes))] += 1.0
+        weights = raw / raw.sum()
+        pairs = [
+            (RandomSearcher, _EagerRandomSearcher, {}),
+            (OracleStaticSearcher, _EagerOracleSearcher, {"weights": weights}),
+        ]
+        for lazy_cls, eager_cls, kwargs in pairs:
+            lazy = lazy_cls(
+                counting_env(sizes), rng=RngFactory(seed), batch_size=batch,
+                **kwargs,
+            ).run()
+            eager = eager_cls(
+                counting_env(sizes), rng=RngFactory(seed), batch_size=batch,
+                **kwargs,
+            ).run()
+            assert lazy.num_samples == sum(sizes)
+            assert lazy.chunks.tolist() == eager.chunks.tolist()
+            assert lazy.frames.tolist() == eager.frames.tolist()
 
 
 class TestRandomPlusSearcher:

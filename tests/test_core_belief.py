@@ -123,6 +123,49 @@ class TestThompsonPolicy:
         assert counts.min() > 700
 
 
+def _broadcast_gamma_choose(alphas, betas, active, rng, batch):
+    """ThompsonPolicy.choose before the single-pass draw: the reference."""
+    n_chunks = alphas.shape[0]
+    draws = rng.gamma(
+        shape=np.broadcast_to(alphas, (batch, n_chunks)),
+        scale=1.0 / np.broadcast_to(betas, (batch, n_chunks)),
+    )
+    draws = np.where(active[None, :], draws, -np.inf)
+    return np.argmax(draws, axis=1)
+
+
+class TestThompsonMatchesBroadcastGamma:
+    """``scale * standard_gamma`` in C order is exactly ``gamma``'s stream."""
+
+    @given(
+        st.integers(0, 2**64 - 1),
+        st.integers(min_value=1, max_value=60),
+        st.sampled_from([1, 2, 4, 8]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_chunks_and_stream_position(self, seed, n_chunks, batch):
+        params = spawn_rng(seed, "params")
+        # Posterior-shaped beliefs (Eq. III.4 with the default prior)
+        # mixed with arbitrary positive ones; shapes below and above 1
+        # take different standard_gamma algorithms.
+        alphas = np.where(
+            params.random(n_chunks) < 0.5,
+            params.integers(0, 5, n_chunks) + 0.1,
+            params.uniform(0.01, 30.0, n_chunks),
+        )
+        betas = params.integers(0, 200, n_chunks) + params.uniform(0.5, 2.0)
+        active = params.random(n_chunks) < 0.7
+        active[params.integers(0, n_chunks)] = True
+        policy = ThompsonPolicy()
+        new, old = spawn_rng(seed, "draws"), spawn_rng(seed, "draws")
+        for step in range(1, 4):
+            chosen = policy.choose(alphas, betas, active, new, step, batch=batch)
+            assert chosen.tolist() == _broadcast_gamma_choose(
+                alphas, betas, active, old, batch
+            ).tolist()
+            assert new.random() == old.random()
+
+
 class TestBayesUCBPolicy:
     def test_prefers_uncertain_over_certain_equal_mean(self):
         """Same posterior mean, fewer samples -> higher quantile -> chosen."""

@@ -1,11 +1,15 @@
 """Tests for frame orders — permutation and stratification properties."""
 
+import pickle
+from typing import Iterator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.frame_order import (
+    FrameOrder,
     RandomPlusOrder,
     ScoreWeightedOrder,
     SequentialOrder,
@@ -112,6 +116,106 @@ class TestRandomPlusOrder:
         order = RandomPlusOrder(10_000_000, spawn_rng(0, "rp6"))
         picks = [order.next() for _ in range(32)]
         assert len(set(picks)) == 32
+
+
+class _EagerRandomPlusOrder(FrameOrder):
+    """random+ with level 0 built at construction: the stream reference.
+
+    A copy of :class:`RandomPlusOrder` as it was before the lazy first
+    draw. Every level, including the first, runs on strata arrays.
+    """
+
+    def __init__(self, size, rng, initial_strata=1):
+        super().__init__(size)
+        self._rng = rng
+        self._initial_strata = min(initial_strata, max(size, 1))
+        self._level_iter: Iterator[int] = iter(())
+        if size > 0:
+            k = self._initial_strata
+            bounds = np.linspace(0, size, k + 1).astype(np.int64)
+            lo, hi = bounds[:-1], bounds[1:]
+            keep = hi > lo
+            self._lo, self._hi = lo[keep], hi[keep]
+            self._pos = np.full(int(keep.sum()), -1, dtype=np.int64)
+        else:
+            self._lo = np.empty(0, dtype=np.int64)
+            self._hi = np.empty(0, dtype=np.int64)
+            self._pos = np.empty(0, dtype=np.int64)
+
+    def _next_impl(self):
+        while True:
+            for frame in self._level_iter:
+                return frame
+            self._advance_level()
+
+    def _advance_level(self):
+        if self._lo.size == 0:
+            raise ExhaustedError("random+ order exhausted")
+        need = self._pos < 0
+        if np.any(need):
+            lows = self._lo[need]
+            highs = self._hi[need]
+            draws = lows + (
+                self._rng.random(lows.size) * (highs - lows)
+            ).astype(np.int64)
+            self._pos[need] = draws
+            emitted = draws.copy()
+            self._rng.shuffle(emitted)
+            self._level_iter = iter(emitted.tolist())
+        else:
+            self._level_iter = iter(())
+        lo, hi, pos = self._lo, self._hi, self._pos
+        busy = (hi - lo) > 1
+        lo, hi, pos = lo[busy], hi[busy], pos[busy]
+        mid = (lo + hi) // 2
+        in_left = pos < mid
+        new_lo = np.concatenate([lo, mid])
+        new_hi = np.concatenate([mid, hi])
+        new_pos = np.concatenate(
+            [np.where(in_left, pos, -1), np.where(in_left, -1, pos)]
+        )
+        keep = new_hi > new_lo
+        self._lo, self._hi, self._pos = new_lo[keep], new_hi[keep], new_pos[keep]
+
+
+class TestLazyRandomPlusMatchesEager:
+    """The lazy first draw must not move a single random draw."""
+
+    @given(
+        st.integers(min_value=0, max_value=300),
+        st.integers(0, 2**64 - 1),
+        st.integers(min_value=1, max_value=5),
+        st.lists(st.integers(min_value=0, max_value=300), max_size=4),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_same_stream_through_pickle_round_trips(
+        self, size, seed, strata, cuts
+    ):
+        lazy = RandomPlusOrder(size, spawn_rng(seed, "rp"), initial_strata=strata)
+        eager = _EagerRandomPlusOrder(
+            size, spawn_rng(seed, "rp"), initial_strata=strata
+        )
+        produced = []
+        for step in range(size + 1):
+            if step in cuts:
+                lazy = pickle.loads(pickle.dumps(lazy))
+            if step == size:
+                break
+            frame = lazy.next()
+            assert frame == eager.next()
+            produced.append(frame)
+        assert sorted(produced) == list(range(size))
+        with pytest.raises(ExhaustedError):
+            lazy.next()
+        # Both generators stand at the same stream position.
+        assert lazy._rng.random() == eager._rng.random()
+
+    def test_first_draw_builds_no_strata(self):
+        order = RandomPlusOrder(1000, spawn_rng(0, "rp7"))
+        assert order._lo is None
+        first = order.next()
+        assert order._lo.tolist() == [0, 500]
+        assert order._pos.tolist() == ([first, -1] if first < 500 else [-1, first])
 
 
 class TestScoreWeightedOrder:

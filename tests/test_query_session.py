@@ -17,6 +17,7 @@ from repro.errors import QueryError
 from repro.query.engine import QueryEngine
 from repro.query.query import DistinctObjectQuery
 from repro.query.session import (
+    CHECKPOINT_VERSION,
     BudgetExhausted,
     QuerySession,
     ResultFound,
@@ -129,6 +130,32 @@ class TestCheckpointRestore:
         assert_traces_identical(reference, restored.trace())
 
     @pytest.mark.parametrize("method", tuple(SEARCH_METHODS))
+    def test_restore_after_first_picks_finishes_byte_identical(
+        self, engine, method
+    ):
+        """Checkpoint after the first batch of picks, where chunk orders
+        are freshest: random/oracle have built only the orders of the
+        chunks they picked, and exsample orders have just made their
+        first draw."""
+        reference = engine.run(
+            QUERY, method=method, run_seed=2, batch_size=3
+        ).trace
+        session = engine.session(QUERY, method=method, run_seed=2, batch_size=3)
+        session.step()
+        searcher = session.search_run.searcher
+        if method in ("random", "oracle"):
+            built = [o is not None for o in searcher._orders._orders]
+            assert 0 < sum(built) < len(built)
+        if method == "exsample":
+            opened = [o for o in searcher._orders if o is not None]
+            assert any(o.remaining == o.size - 1 for o in opened)
+        restored = QuerySession.restore(session.checkpoint())
+        for _ in restored.stream():
+            pass
+        assert restored.finished
+        assert_traces_identical(reference, restored.trace())
+
+    @pytest.mark.parametrize("method", tuple(SEARCH_METHODS))
     def test_restored_session_continues_event_stream(self, engine, method):
         """Events after restore continue the uninterrupted event sequence."""
         reference = list(
@@ -183,7 +210,7 @@ class TestCheckpointRestore:
 
 
 class TestCheckpointEnvelope:
-    """The v2 envelope: digest-verified payload plus peekable metadata."""
+    """The envelope: digest-verified payload plus peekable metadata."""
 
     def _paused_session(self, engine):
         session = engine.session(QUERY, method="exsample", run_seed=5)
@@ -191,13 +218,13 @@ class TestCheckpointEnvelope:
             session.pause()
         return session
 
-    def test_v2_envelope_structure(self, engine):
+    def test_envelope_structure(self, engine):
         import hashlib
         import pickle
 
         blob = self._paused_session(engine).checkpoint()
         envelope = pickle.loads(blob)
-        assert envelope["version"] == 2
+        assert envelope["version"] == CHECKPOINT_VERSION
         assert set(envelope) == {"version", "meta", "digest", "payload"}
         assert set(envelope["meta"]) == {
             "method", "num_samples", "num_results", "total_cost",
@@ -213,7 +240,7 @@ class TestCheckpointEnvelope:
         session = self._paused_session(engine)
         blob = session.checkpoint()
         info = peek_checkpoint(blob)
-        assert info.version == 2
+        assert info.version == CHECKPOINT_VERSION
         assert info.method == "exsample"
         assert info.num_samples == session.num_samples
         assert info.num_results == session.num_results
@@ -234,15 +261,16 @@ class TestCheckpointEnvelope:
         with pytest.raises(QueryError, match="digest mismatch"):
             peek_checkpoint(bytes(blob))
 
-    def test_v1_flat_checkpoints_restore_but_do_not_peek(self, engine):
-        """Blobs written before the envelope existed keep loading."""
+    def test_older_checkpoint_versions_are_refused(self, engine):
+        """Older layouts get a typed QueryError, never an AttributeError.
+
+        v1 blobs were flat dicts; v2 envelopes hold searchers in the
+        layout before the uniform baselines built chunk orders lazily.
+        """
         import pickle
 
         from repro.query.session import peek_checkpoint
 
-        reference = engine.run(
-            QUERY, method="exsample", run_seed=5
-        ).trace
         session = self._paused_session(engine)
         v1_blob = pickle.dumps(
             {
@@ -256,12 +284,14 @@ class TestCheckpointEnvelope:
             },
             protocol=pickle.HIGHEST_PROTOCOL,
         )
-        restored = QuerySession.restore(v1_blob)
-        for _ in restored.stream():
-            pass
-        assert_traces_identical(reference, restored.trace())
-        with pytest.raises(QueryError, match="v1"):
-            peek_checkpoint(v1_blob)
+        envelope = pickle.loads(session.checkpoint())
+        envelope["version"] = 2
+        v2_blob = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
+        for blob in (v1_blob, v2_blob):
+            with pytest.raises(QueryError, match="version"):
+                QuerySession.restore(blob)
+            with pytest.raises(QueryError, match="version"):
+                peek_checkpoint(blob)
 
 
 class TestSearchRunStandalone:

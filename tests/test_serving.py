@@ -232,6 +232,31 @@ class TestServerIdentity:
         for a, b in zip(outside, inside):
             assert_traces_identical(a.trace, b.trace)
 
+    def test_run_many_never_reprs_its_outcomes(self, monkeypatch):
+        """Teardown regression: on the main thread, asyncio.run restores
+        SIGINT through signal.getsignal/signal.signal, which build a
+        message holding the repr() of the finished main task, result
+        included. A main task returning the outcomes paid for a repr of
+        every QueryOutcome, numpy traces and all, twice per call."""
+        import threading
+
+        from repro.query.engine import QueryOutcome
+
+        assert threading.current_thread() is threading.main_thread()
+        calls = []
+        original = QueryOutcome.__repr__
+
+        def counting_repr(outcome):
+            calls.append(outcome)
+            return original(outcome)
+
+        monkeypatch.setattr(QueryOutcome, "__repr__", counting_repr)
+        engine = fresh_engine()
+        queries = [DistinctObjectQuery("car", limit=3) for _ in range(2)]
+        outcomes = engine.run_many(queries, batch_size=4)
+        assert len(outcomes) == 2
+        assert calls == []
+
     def test_serve_sessions_propagates_errors_from_inner_loop(self, engine):
         async def go():
             with pytest.raises(QueryError, match="exactly one"):

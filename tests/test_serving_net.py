@@ -28,7 +28,7 @@ from repro.errors import (
 )
 from repro.query.engine import QueryEngine
 from repro.query.query import DistinctObjectQuery
-from repro.query.session import peek_checkpoint
+from repro.query.session import CHECKPOINT_VERSION, peek_checkpoint
 from repro.serving import ServerConfig
 from repro.serving.faults import FaultSpec
 from repro.serving.net import (
@@ -243,7 +243,7 @@ class TestCheckpointOverWire:
                     assert await session.wait() == "paused"
                     blob = await session.checkpoint()
                     meta = peek_checkpoint(blob)
-                    assert meta.version == 2
+                    assert meta.version == CHECKPOINT_VERSION
                     assert meta.num_samples > 0
                     return blob
                 finally:
