@@ -603,10 +603,10 @@ def test_shared_cache_cross_process_hit_rate():
     engine.detection_cache.clear()
     fn = partial(_shm_cache_sweep, engine)
     start = time.perf_counter()
-    first = parallel_map(fn, [0, 1, 2, 3], jobs=2, shared_world=True)
+    first = parallel_map(fn, [0, 1, 2, 3], jobs=2)
     t_first = time.perf_counter() - start
     start = time.perf_counter()
-    second = parallel_map(fn, [0, 1, 2, 3], jobs=2, shared_world=True)
+    second = parallel_map(fn, [0, 1, 2, 3], jobs=2)
     t_second = time.perf_counter() - start
     assert [obs for obs, _, _ in first] == [obs for obs, _, _ in second]
     hits = sum(h for _, h, _ in second)

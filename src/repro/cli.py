@@ -121,7 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes for the method sweep (default: REPRO_JOBS or 1)",
     )
     _add_index_flag(compare)
-    _add_shared_flags(compare)
+    _add_shared_cache_flag(compare)
 
     serve = sub.add_parser(
         "serve",
@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--executor", default=None, metavar="SPEC",
         help="detector executor spec: inline, thread[:N], or "
-             "process[:N|:start-method] (results are unaffected; thread/"
+             "process[:N] (results are unaffected; thread/"
              "process overlap fused detection with session CPU work); "
              "default: the workload file's 'executor' key, else inline",
     )
@@ -210,8 +210,9 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--context", default=None,
         choices=("fork", "spawn", "forkserver"),
-        help="multiprocessing start method for shard processes "
-             "(default: REPRO_MP_CONTEXT or the platform default)",
+        help="multiprocessing start method for every child process "
+             "(sets REPRO_MP_CONTEXT; default: REPRO_MP_CONTEXT or the "
+             "platform default)",
     )
     fleet.add_argument("--scale", type=float, default=0.05)
     fleet.add_argument("--seed", type=int, default=0)
@@ -236,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--executor", default=None, metavar="SPEC",
         help="detector executor spec inside each shard server: inline, "
-             "thread[:N], or process[:N|:start-method] (results are "
+             "thread[:N], or process[:N] (results are "
              "unaffected); default: the workload file's 'executor' key, "
              "else inline",
     )
@@ -315,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="detection-cache policy for worker-built engines "
              "(sets REPRO_CACHE; results are unaffected)",
     )
-    _add_shared_flags(experiment)
+    _add_shared_cache_flag(experiment)
 
     lint = sub.add_parser(
         "lint",
@@ -363,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="detection-cache policy for worker-built engines "
              "(sets REPRO_CACHE; results are unaffected)",
     )
-    _add_shared_flags(ablation)
+    _add_shared_cache_flag(ablation)
 
     return parser
 
@@ -377,13 +378,7 @@ def _add_index_flag(subparser) -> None:
     )
 
 
-def _add_shared_flags(subparser) -> None:
-    subparser.add_argument(
-        "--shared-world", action="store_true",
-        help="ship synthetic worlds to workers via POSIX shared memory "
-             "(one published copy, zero-copy attach) instead of "
-             "re-pickling them per task; results are unaffected",
-    )
+def _add_shared_cache_flag(subparser) -> None:
     subparser.add_argument(
         "--shared-cache", action="store_true",
         help="share one detection memo across all worker processes "
@@ -532,15 +527,15 @@ def _cmd_compare(args, out) -> int:
 def _apply_parallel_env(args) -> None:
     """Propagate the parallel-execution flags to the harnesses via env.
 
-    The experiment modules resolve their worker count, shared-world
-    setting and cache policy from the environment (so nested code,
-    worker processes and benches see one set of knobs); the CLI flags
-    simply set them for this process — worker pools inherit them.
+    The library resolves its worker count, child start method and
+    cache policy from the environment (so nested code, worker processes
+    and benches see one set of knobs); the CLI flags simply set them for
+    this process — worker pools inherit them.
     """
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
-    if getattr(args, "shared_world", False):
-        os.environ["REPRO_SHARED_WORLD"] = "1"
+    if getattr(args, "context", None) is not None:
+        os.environ["REPRO_MP_CONTEXT"] = args.context
     if getattr(args, "shared_cache", False):
         os.environ["REPRO_CACHE"] = "shared"
     elif getattr(args, "cache", None) and args.command in ("experiment", "ablation"):
@@ -702,6 +697,7 @@ def _cmd_fleet(args, out) -> int:
     )
     from repro.serving.fleet import run_fleet
 
+    _apply_parallel_env(args)
     items = load_workload(args.workload)
     if not items:
         print("workload is empty; nothing to serve", file=out)
@@ -717,7 +713,6 @@ def _cmd_fleet(args, out) -> int:
     config = FleetConfig(
         n_shards=args.shards,
         placement=args.placement,
-        context=args.context,
         shared_cache=not args.no_shared_cache,
         queue_capacity=args.queue_capacity,
         server=ServerConfig(
@@ -904,29 +899,37 @@ def _cmd_lint(args, out) -> int:
 
 
 def main(argv: Optional[List[str]] = None, out=None) -> int:
-    """CLI entry point. Returns a process exit code."""
+    """CLI entry point. Returns a process exit code.
+
+    A typed :class:`~repro.errors.ReproError` prints one ``error:`` line
+    and returns 1; any other exception propagates.
+    """
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
-    if args.command == "list-datasets":
-        return _cmd_list_datasets(out)
-    if args.command == "methods":
-        return _cmd_methods(out)
-    if args.command == "query":
-        return _cmd_query(args, out)
-    if args.command == "compare":
-        return _cmd_compare(args, out)
-    if args.command == "serve":
-        return _cmd_serve(args, out)
-    if args.command == "fleet":
-        return _cmd_fleet(args, out)
-    if args.command == "index":
-        return _cmd_index(args, out)
-    if args.command == "experiment":
-        return _cmd_experiment(args, out)
-    if args.command == "lint":
-        return _cmd_lint(args, out)
-    if args.command == "ablation":
-        return _cmd_ablation(args, out)
+    try:
+        if args.command == "list-datasets":
+            return _cmd_list_datasets(out)
+        if args.command == "methods":
+            return _cmd_methods(out)
+        if args.command == "query":
+            return _cmd_query(args, out)
+        if args.command == "compare":
+            return _cmd_compare(args, out)
+        if args.command == "serve":
+            return _cmd_serve(args, out)
+        if args.command == "fleet":
+            return _cmd_fleet(args, out)
+        if args.command == "index":
+            return _cmd_index(args, out)
+        if args.command == "experiment":
+            return _cmd_experiment(args, out)
+        if args.command == "lint":
+            return _cmd_lint(args, out)
+        if args.command == "ablation":
+            return _cmd_ablation(args, out)
+    except ReproError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=out)
+        return 1
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -44,7 +44,9 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 from repro.errors import ConfigError
 
 #: On-disk format version of :meth:`DetectionCache.save` snapshots.
-CACHE_SNAPSHOT_VERSION = 1
+#: Version 2 snapshots hold scoped keys only; version 1 could also hold
+#: un-scoped ``(video, frame, class)`` keys, so it is refused.
+CACHE_SNAPSHOT_VERSION = 2
 
 #: Cache key: (detector scope, video, frame, class_filter-or-None).
 CacheKey = Tuple[str, int, int, Optional[str]]
@@ -77,7 +79,7 @@ class CacheInfo:
     identity prefix of each key — so a cache shared by several detectors
     (a multi-dataset sweep's pool cache, a multi-tenant server) reports
     which detector's lookups hit. Empty for a cache that has seen no
-    scoped lookups.
+    lookups.
     """
 
     policy: str
@@ -141,6 +143,14 @@ def merge_cache_infos(infos, policy: Optional[str] = None) -> CacheInfo:
 class DetectionCache:
     """Memo table for per-frame detection lists.
 
+    Keys are namespaced by the detector's identity (its
+    :meth:`~repro.detection.simulated.SimulatedDetector.cache_scope`, a
+    digest of seed, noise profile and world content). Nothing stops one
+    cache instance from serving several detectors — two engines handed
+    the same cache, or the cross-process shared cache of a multi-dataset
+    sweep — and un-scoped ``(video, frame, class)`` keys would then
+    collide across worlds; the prefix is a one-time digest per detector.
+
     Parameters
     ----------
     policy:
@@ -148,16 +158,6 @@ class DetectionCache:
     capacity:
         Maximum entries for the LRU policy (ignored when unbounded).
     """
-
-    #: Whether keys must be namespaced by the detector's identity (its
-    #: :meth:`~repro.detection.simulated.SimulatedDetector.cache_scope`,
-    #: a digest of seed, noise profile and world content). Nothing stops
-    #: one cache instance from serving several detectors — two engines
-    #: handed the same cache, or the cross-process shared cache of a
-    #: multi-dataset sweep — and un-scoped ``(video, frame, class)``
-    #: keys would then collide across worlds, so every cache demands
-    #: scoping; the prefix is a one-time digest per detector.
-    scoped = True
 
     #: Whether ``key in cache`` is a cheap in-process probe. Stat-only
     #: consumers (the serving batcher's per-tenant hit attribution) skip
@@ -216,11 +216,6 @@ class DetectionCache:
             store = self._store
             return [key in store for key in keys]
 
-    @staticmethod
-    def _scope_of(key: CacheKey) -> str:
-        """The scope component of a key ('' for legacy un-scoped keys)."""
-        return key[0] if key and isinstance(key[0], str) else ""
-
     def get(self, key: CacheKey) -> Optional[List[object]]:
         """The cached detection list for ``key``, or None on a miss.
 
@@ -228,7 +223,7 @@ class DetectionCache:
         (detection objects themselves are frozen) without corrupting the
         cache.
         """
-        scope = self._scope_of(key)
+        scope = key[0]
         with self._lock:
             store = self._store
             try:
@@ -267,11 +262,11 @@ class DetectionCache:
     ) -> "Dict[CacheKey, List[object]]":
         """A counter-free copy of the stored entries.
 
-        ``scope`` restricts the copy to one detector's keys (see
-        :attr:`scoped`). Like :meth:`__contains__`, reading a snapshot
-        never perturbs the hit/miss statistics, so persistence layers —
-        :meth:`save`, the repository index's detection-row harvest — can
-        export entries without skewing effectiveness numbers.
+        ``scope`` restricts the copy to one detector's keys. Like
+        :meth:`__contains__`, reading a snapshot never perturbs the
+        hit/miss statistics, so persistence layers — :meth:`save`, the
+        repository index's detection-row harvest — can export entries
+        without skewing effectiveness numbers.
         """
         with self._lock:
             items = list(self._store.items())
@@ -280,7 +275,7 @@ class DetectionCache:
         return {
             key: list(value)
             for key, value in items
-            if self._scope_of(key) == scope
+            if key[0] == scope
         }
 
     # -- explicit on-disk persistence ----------------------------------------
@@ -306,7 +301,7 @@ class DetectionCache:
                 "policy": self.policy,
                 "capacity": self.capacity,
                 "entries": len(entries),
-                "scopes": sorted({self._scope_of(key) for key in entries}),
+                "scopes": sorted({key[0] for key in entries}),
             },
             "digest": hashlib.blake2b(payload, digest_size=16).hexdigest(),
             "payload": payload,

@@ -181,10 +181,6 @@ class SimulatedDetector:
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # Drop the legacy shared-rng slot from old checkpoints: the
-        # attribute is a property now, and a stale instance entry would
-        # shadow nothing but waste memory.
-        state.pop("_frame_rng", None)
         self.__dict__.update(state)
         self._rng_local = threading.local()
         self._count_lock = threading.Lock()
@@ -195,9 +191,9 @@ class SimulatedDetector:
         Detection output is fully determined by ``(seed, profile, world
         content)``; the scope digests exactly those, so two detectors
         share a scope precisely when they would produce identical
-        detections for every frame. Caches serving several detectors
-        (``scoped = True``, e.g. the pool-wide shared cache of a
-        multi-dataset sweep) use it to namespace their keys.
+        detections for every frame. Every detection cache namespaces its
+        keys with it, because one cache may serve several detectors (e.g.
+        the pool-wide shared cache of a multi-dataset sweep).
         """
         scope = self._scope
         if scope is None:
@@ -228,10 +224,7 @@ class SimulatedDetector:
         cache = self.cache
         if cache is None:
             return self._detect_filtered(video, frame, class_filter)
-        if cache.scoped:
-            key = (self.cache_scope(), video, frame, class_filter)
-        else:
-            key = (video, frame, class_filter)
+        key = (self.cache_scope(), video, frame, class_filter)
         hit = cache.get(key)
         if hit is not None:
             return hit
@@ -278,10 +271,10 @@ class SimulatedDetector:
             # One cache lookup — and at most one generation — per distinct
             # (video, frame): duplicate picks within the batch share the
             # generated result instead of re-generating (and re-counting a
-            # miss) per occurrence. Scoped caches (shared across several
-            # detectors) namespace the stored key with this detector's
-            # identity; grouping below stays on the plain key.
-            scope = self.cache_scope() if cache.scoped else None
+            # miss) per occurrence. The stored key is namespaced with this
+            # detector's identity (one cache may serve several
+            # detectors); grouping below stays on the plain key.
+            scope = self.cache_scope()
             pending: dict[tuple, List[int]] = {}
             for i, (video, frame) in enumerate(zip(videos, frames, strict=True)):
                 key = (int(video), int(frame), class_filter)
@@ -289,7 +282,7 @@ class SimulatedDetector:
                 if indices is not None:
                     indices.append(i)
                     continue
-                hit = cache.get(key if scope is None else (scope,) + key)
+                hit = cache.get((scope,) + key)
                 if hit is None:
                     pending[key] = [i]
                 else:
@@ -304,7 +297,7 @@ class SimulatedDetector:
                         detections = [
                             d for d in detections if d.class_name == class_filter
                         ]
-                    cache.put(key if scope is None else (scope,) + key, detections)
+                    cache.put((scope,) + key, detections)
                     indices = pending[key]
                     out[indices[0]] = detections
                     for extra in indices[1:]:
@@ -562,7 +555,6 @@ def split_detect_task(
             out=[None] * n, pending={}, cache=None, scope=scope,
             passthrough=True,
         )
-    key_scope = scope if cache.scoped else None
     out: List[Optional[List[Detection]]] = [None] * n
     pending: "dict[tuple, List[int]]" = {}
     for i, (video, frame) in enumerate(zip(videos, frames, strict=True)):
@@ -571,13 +563,13 @@ def split_detect_task(
         if indices is not None:
             indices.append(i)
             continue
-        hit = cache.get(key if key_scope is None else (key_scope,) + key)
+        hit = cache.get((scope,) + key)
         if hit is None:
             pending[key] = [i]
         else:
             out[i] = hit
     split = DetectSplit(
-        out=out, pending=pending, cache=cache, scope=key_scope,
+        out=out, pending=pending, cache=cache, scope=scope,
         passthrough=False,
     )
     if not pending:
@@ -641,10 +633,7 @@ def merge_detect_results(
     out = split.out
     for key, detections in zip(pending, results, strict=True):
         if cache is not None:
-            cache.put(
-                key if split.scope is None else (split.scope,) + key,
-                detections,
-            )
+            cache.put((split.scope,) + key, detections)
         indices = pending[key]
         out[indices[0]] = detections
         for extra in indices[1:]:

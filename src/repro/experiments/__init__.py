@@ -10,10 +10,10 @@ the ``REPRO_FULL`` environment variable.
 Every harness executes its independent units (runs, trials, cells, rows)
 through :mod:`repro.experiments.parallel`: set ``REPRO_JOBS=N`` (or the CLI
 ``--jobs``) to fan them out over N worker processes with results
-element-wise identical to the serial path. ``REPRO_SHARED_WORLD=1``
-(``--shared-world``) ships synthetic worlds to those workers over
-shared memory, and ``REPRO_CACHE=shared`` (``--shared-cache``) joins
-every process onto one detection memo; see :mod:`repro.parallel.shm`.
+element-wise identical to the serial path. Synthetic worlds reach those
+workers over shared memory, and ``REPRO_CACHE=shared``
+(``--shared-cache``) joins every process onto one detection memo; see
+:mod:`repro.parallel.shm`.
 """
 
 from repro.experiments import ablations, fig2, fig3, fig4, fig5, fig6, report, table1
@@ -23,7 +23,6 @@ from repro.experiments.parallel import (
     parallel_map,
     parallel_sweep_methods,
     parallel_traces,
-    resolve_context,
     resolve_jobs,
 )
 from repro.experiments.runner import (
@@ -54,7 +53,6 @@ __all__ = [
     "parallel_traces",
     "repeated_traces",
     "report",
-    "resolve_context",
     "resolve_jobs",
     "sample_grid",
     "sweep_methods",

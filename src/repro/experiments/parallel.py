@@ -20,27 +20,24 @@ map over picklable tasks built on :class:`concurrent.futures
   fallback emits a ``RuntimeWarning`` naming the pickling failure, or
 * it is already running inside a worker (no nested pools).
 
-Workers mark themselves via the ``REPRO_IN_WORKER`` environment variable,
-so nested ``parallel_map`` calls (a parallelised experiment whose cells
-call ``repeated_traces``) stay serial instead of oversubscribing. The
-pool's start method follows the platform default; pass ``context=`` (or
-set ``REPRO_MP_CONTEXT``) to force ``"spawn"``/``"fork"``/
-``"forkserver"`` explicitly.
+The pool comes from :func:`repro.parallel.procs.process_pool`: its
+start method follows ``REPRO_MP_CONTEXT`` (else the platform default),
+workers exit on their own if the caller dies, and workers mark
+themselves via the ``REPRO_IN_WORKER`` environment variable, so nested
+``parallel_map`` calls (a parallelised experiment whose cells call
+``repeated_traces``) stay serial instead of oversubscribing.
 
 Two shared-memory levers (see :mod:`repro.parallel.shm`) hang off the
-pool lifecycle, both opt-in and both result-invariant:
+pool lifecycle, both result-invariant:
 
-* ``shared_world=True`` (or ``REPRO_SHARED_WORLD=1``, CLI
-  ``--shared-world``) publishes every
-  :class:`~repro.video.synthetic.SyntheticWorld` reachable from the
-  callable and its first task (where every harness in this library
-  carries its engine) into named shared-memory segments for the
-  duration of the pool:
-  tasks then carry ~100-byte handles instead of re-pickled worlds, and
-  workers attach zero-copy views once per process. ``parallel_map``
-  owns the segments — they are unlinked when the pool exits, normally
-  or through a worker crash.
-* ``--cache shared`` / ``REPRO_CACHE=shared`` routes every engine —
+* every :class:`~repro.video.synthetic.SyntheticWorld` reachable from
+  the callable and its first task (where every harness in this library
+  carries its engine) is published into a named shared-memory segment
+  for the duration of the pool: tasks then carry ~100-byte handles
+  instead of re-pickled worlds, and workers attach zero-copy views once
+  per process. ``parallel_map`` owns the segments — they are unlinked
+  when the pool exits, normally or through a worker crash.
+* ``--cache shared`` / ``REPRO_CACHE=shared`` (opt-in) routes every engine —
   parent-built and worker-built alike — onto one
   :class:`~repro.parallel.shm.SharedDetectionCache`, so a frame any
   process detected is a cache hit for all of them. ``parallel_map``
@@ -55,16 +52,15 @@ already built the engine shares it with every worker for free.
 from __future__ import annotations
 
 import io
-import multiprocessing
 import os
 import pickle
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache, partial
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.sampler import SearchTrace
 from repro.errors import ConfigError
+from repro.parallel.procs import process_pool
 from repro.video.synthetic import SyntheticWorld
 
 __all__ = [
@@ -73,7 +69,6 @@ __all__ = [
     "parallel_map",
     "parallel_sweep_methods",
     "parallel_traces",
-    "resolve_context",
     "resolve_jobs",
 ]
 
@@ -100,45 +95,17 @@ def resolve_jobs(jobs: Optional[int] = None) -> int:
     return jobs
 
 
-def resolve_context(context: Optional[str] = None):
-    """Worker start method: ``context`` if given, else ``REPRO_MP_CONTEXT``.
-
-    Returns a ``multiprocessing`` context object, or None for the
-    platform default start method.
-    """
-    if context is None:
-        context = os.environ.get("REPRO_MP_CONTEXT", "").strip() or None
-    if context is None:
-        return None
-    try:
-        return multiprocessing.get_context(context)
-    except ValueError as exc:
-        raise ConfigError(
-            f"unknown multiprocessing start method {context!r} "
-            f"(expected one of {multiprocessing.get_all_start_methods()})"
-        ) from exc
-
-
-def _shared_world_enabled(shared_world: Optional[bool]) -> bool:
-    if shared_world is not None:
-        return bool(shared_world)
-    return os.environ.get("REPRO_SHARED_WORLD", "").strip() == "1"
-
-
 def _shared_cache_enabled() -> bool:
     return os.environ.get("REPRO_CACHE", "").strip() == "shared"
 
 
-def _init_worker(shared_cache=None) -> None:
-    os.environ["REPRO_IN_WORKER"] = "1"
-    if shared_cache is not None:
-        # Engines built inside this worker (dataset_engine with the
-        # "shared" policy) must join the parent's memo, not start their
-        # own manager.
-        os.environ["REPRO_CACHE"] = "shared"
-        from repro.parallel.shm import adopt_shared_cache
+def _adopt_cache(shared_cache) -> None:
+    # Engines built inside this worker (dataset_engine with the "shared"
+    # policy) must join the parent's memo, not start their own manager.
+    os.environ["REPRO_CACHE"] = "shared"
+    from repro.parallel.shm import adopt_shared_cache
 
-        adopt_shared_cache(shared_cache)
+    adopt_shared_cache(shared_cache)
 
 
 class _TaskScanner(pickle.Pickler):
@@ -192,8 +159,6 @@ def parallel_map(
     items: Iterable,
     *,
     jobs: Optional[int] = None,
-    context: Optional[str] = None,
-    shared_world: Optional[bool] = None,
 ) -> List:
     """Order-stable map over ``items``, process-parallel when possible.
 
@@ -204,12 +169,10 @@ def parallel_map(
     pickled (with a ``RuntimeWarning`` naming what failed); a worker
     exception propagates to the caller either way.
 
-    ``context`` picks the worker start method (default: platform's);
-    ``shared_world`` ships synthetic worlds over shared memory instead
-    of re-pickling them per task (default: the ``REPRO_SHARED_WORLD``
-    environment variable). The pool owns any segments it publishes:
-    they are unlinked on normal completion, on error, and on worker
-    crash alike.
+    Synthetic worlds travel over shared memory instead of being
+    re-pickled per task. The pool owns any segments it publishes: they
+    are unlinked on normal completion, on error, and on worker crash
+    alike.
     """
     items = list(items)
     jobs = resolve_jobs(jobs)
@@ -224,25 +187,16 @@ def parallel_map(
             stacklevel=2,
         )
         return [fn(item) for item in items]
-    initargs = ()
+    from repro.parallel.shm import publish_worlds, shared_detection_cache
+
+    initializer, initargs = None, ()
     if _shared_cache_enabled():
         # Before publishing any world: if the manager fails to start,
         # nothing is published yet and nothing needs unwinding.
-        from repro.parallel.shm import shared_detection_cache
-
-        initargs = (shared_detection_cache(),)
-    stores = []
-    if _shared_world_enabled(shared_world) and worlds:
-        from repro.parallel.shm import publish_worlds
-
-        stores = publish_worlds(worlds)
+        initializer, initargs = _adopt_cache, (shared_detection_cache(),)
+    stores = publish_worlds(worlds)
     try:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(items)),
-            initializer=_init_worker,
-            initargs=initargs,
-            mp_context=resolve_context(context),
-        ) as pool:
+        with process_pool(min(jobs, len(items)), initializer, initargs) as pool:
             futures = [pool.submit(fn, item) for item in items]
             return [future.result() for future in futures]
     finally:
@@ -262,8 +216,6 @@ def parallel_traces(
     runs: int,
     *,
     jobs: Optional[int] = None,
-    context: Optional[str] = None,
-    shared_world: Optional[bool] = None,
     frame_budget: Optional[int] = None,
     result_limit: Optional[int] = None,
     distinct_real_limit: Optional[int] = None,
@@ -275,8 +227,7 @@ def parallel_traces(
     module already follows); it must be picklable — a ``functools.partial``
     over a module-level function — for the parallel path to engage.
     Results are gathered in run order, element-wise identical to the
-    serial loop. ``context``/``shared_world`` pass through to
-    :func:`parallel_map`.
+    serial loop.
     """
     limits = dict(
         frame_budget=frame_budget,
@@ -287,8 +238,6 @@ def parallel_traces(
         partial(_run_one_trace, make_searcher, limits),
         range(runs),
         jobs=jobs,
-        context=context,
-        shared_world=shared_world,
     )
 
 
@@ -320,19 +269,17 @@ def parallel_sweep_methods(
     methods: Optional[Sequence[str]] = None,
     run_seed: int = 0,
     jobs: Optional[int] = None,
-    context: Optional[str] = None,
-    shared_world: Optional[bool] = None,
     **searcher_kwargs,
 ) -> Dict[str, object]:
     """Run one query under every method; returns {method: outcome}.
 
     The parallel counterpart of :func:`repro.experiments.runner
     .sweep_methods` (which delegates here): each method runs in its own
-    worker against a pickled copy of the engine — with ``shared_world``
-    the engine's world travels as a shared-memory handle instead of
-    being re-pickled per method. Outcomes are identical to the serial
-    sweep — every run derives only from ``(engine seed, method,
-    run_seed)`` — and arrive in method order. Third-party methods travel
+    worker against a pickled copy of the engine, whose world travels as
+    a shared-memory handle instead of being re-pickled per method.
+    Outcomes are identical to the serial sweep — every run derives only
+    from ``(engine seed, method, run_seed)`` — and arrive in method
+    order. Third-party methods travel
     as their :class:`~repro.core.registry.SearcherSpec`, so workers on
     spawn-start platforms re-import/re-register them; a plug-in whose
     spec cannot be pickled degrades to the serial sweep.
@@ -345,8 +292,6 @@ def parallel_sweep_methods(
         partial(_run_one_method, engine, query, run_seed, searcher_kwargs),
         tasks,
         jobs=jobs,
-        context=context,
-        shared_world=shared_world,
     )
     return dict(zip(chosen, outcomes, strict=True))
 

@@ -477,7 +477,7 @@ class RepositoryIndex:
                     scope[:12],
                 )
             return 0
-        if cache is None or not getattr(cache, "scoped", False):
+        if cache is None:
             return 0
         for key, detections in rows.items():
             cache.put((scope,) + key, detections)

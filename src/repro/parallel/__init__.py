@@ -4,7 +4,8 @@ See :mod:`repro.parallel.shm` for the two primitives: a
 :class:`~repro.parallel.shm.SharedWorldStore` that ships synthetic
 worlds to workers as ~100-byte handles over named shared memory, and a
 :class:`~repro.parallel.shm.SharedDetectionCache` that gives every
-process in a pool one detection memo.
+process in a pool one detection memo. :mod:`repro.parallel.procs` is
+how every child process the library starts is started and stopped.
 """
 
 from repro.parallel.shm import (

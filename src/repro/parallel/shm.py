@@ -65,6 +65,7 @@ from repro.detection.cache import (
     ScopeCacheInfo,
 )
 from repro.errors import ConfigError
+from repro.parallel.procs import start_manager
 
 __all__ = [
     "SharedDetectionCache",
@@ -275,12 +276,10 @@ def _is_counter_key(key) -> bool:
 
 
 def _manager():
-    """The process's lazily started ``multiprocessing.Manager`` server."""
+    """The process's lazily started manager server (exits with its owner)."""
     global _MANAGER
     if _MANAGER is None:
-        import multiprocessing
-
-        _MANAGER = multiprocessing.Manager()
+        _MANAGER = start_manager()
     return _MANAGER
 
 
@@ -307,10 +306,9 @@ class SharedDetectionCache(DetectionCache):
 
     One shared store routinely serves detectors over *different*
     worlds, seeds and noise profiles (a multi-dataset sweep's workers
-    all adopt the same cache); like every detection cache it is
-    ``scoped``, so each detector namespaces its keys with its
-    content-derived ``cache_scope`` and entries can never cross
-    detectors.
+    all adopt the same cache); like every detection cache its keys are
+    namespaced by each detector's content-derived ``cache_scope``, so
+    entries can never cross detectors.
     """
 
     #: ``in`` on the manager proxy is an IPC round-trip; stat-only
@@ -335,7 +333,7 @@ class SharedDetectionCache(DetectionCache):
 
     def get(self, key: CacheKey):
         """The cached detection list for ``key``, or None on a miss."""
-        scope = self._scope_of(key)
+        scope = key[0]
         blob = self._store.get(key)
         if blob is None:
             self.misses += 1
@@ -371,7 +369,7 @@ class SharedDetectionCache(DetectionCache):
         for key in self._store.keys():
             if _is_counter_key(key):
                 continue
-            if scope is not None and self._scope_of(key) != scope:
+            if scope is not None and key[0] != scope:
                 continue
             blob = self._store.get(key)
             if blob is not None:

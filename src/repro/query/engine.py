@@ -459,7 +459,6 @@ class QueryEngine:
             cache = self.detection_cache
             if (
                 cache is not None
-                and getattr(cache, "scoped", False)
                 and hasattr(cache, "snapshot")
                 and trace.chunks.size
             ):

@@ -432,14 +432,13 @@ class DetectorBatcher:
         cache = getattr(detector, "cache", None)
         if cache is None or not getattr(cache, "fast_contains", False):
             return
-        scope = detector.cache_scope() if getattr(cache, "scoped", False) else None
+        scope = detector.cache_scope()
         keys = []
         for item in batch:
             for video, frame in zip(
                 item.request.videos, item.request.frames, strict=True
             ):
-                key = (video, frame, class_filter)
-                keys.append(key if scope is None else (scope,) + key)
+                keys.append((scope, video, frame, class_filter))
         probe = getattr(cache, "contains_many", None)
         if probe is not None:
             present = probe(keys)

@@ -15,8 +15,9 @@ call runs:
   loop keeps scheduling sessions while the detector runs; real speedups
   require the detector to release the GIL for its heavy lifting (numpy
   kernels, ONNX Runtime, torch inference all do).
-* ``process`` — a ``ProcessPoolExecutor`` worker. Full GIL isolation at
-  the price of IPC: the call ships as a
+* ``process`` — a worker of a :func:`repro.parallel.procs.process_pool`
+  (start method from ``REPRO_MP_CONTEXT``; workers exit with their
+  owner). Full GIL isolation at the price of IPC: the call ships as a
   :class:`~repro.detection.simulated.DetectTask` (the world travels as a
   ~100-byte shared-memory handle, cache hits are resolved parent-side so
   only misses cross the boundary, and the worker scope-checks the task
@@ -40,9 +41,6 @@ from __future__ import annotations
 
 import asyncio
 import functools
-import os
-import threading
-import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from typing import Callable, Dict, List, Optional, Union
 
@@ -179,30 +177,6 @@ class ThreadDetectorExecutor(DetectorExecutor):
         return f"{self.name}(workers={self.max_workers})"
 
 
-def _exit_when_orphaned(parent_pid: int, poll_s: float = 1.0) -> None:
-    """Pool-worker initializer: exit once the owning process is gone.
-
-    A pool owner that dies *uncleanly* — a fleet shard SIGKILLed by the
-    chaos harness, an OOM-killed server — never shuts its pool down, and
-    the orphaned workers then block on the call queue forever: under the
-    fork start method every worker inherits the queue's write end, so
-    the read side never sees EOF. The orphans hold every inherited
-    descriptor (stdout pipes included) open indefinitely. Each worker
-    therefore watches for reparenting from a daemon thread and
-    ``os._exit``\\ s when its parent pid changes — no atexit, no GC: an
-    orphan has nothing worth flushing.
-    """
-
-    def _watch() -> None:
-        while os.getppid() == parent_pid:
-            time.sleep(poll_s)
-        os._exit(2)
-
-    threading.Thread(
-        target=_watch, name="repro-orphan-watch", daemon=True
-    ).start()
-
-
 class ProcessDetectorExecutor(DetectorExecutor):
     """Run fused calls in worker processes (full GIL isolation).
 
@@ -219,24 +193,18 @@ class ProcessDetectorExecutor(DetectorExecutor):
 
     name = "process"
 
-    def __init__(self, context: Optional[str] = None, max_workers: int = 1):
+    def __init__(self, max_workers: int = 1):
         if max_workers < 1:
             raise ConfigError("process executor needs max_workers >= 1")
-        self.context = context
         self.max_workers = int(max_workers)
         self._pool: Optional[ProcessPoolExecutor] = None
         self._stores: List[object] = []
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
-            from repro.experiments.parallel import resolve_context
+            from repro.parallel.procs import process_pool
 
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                mp_context=resolve_context(self.context),
-                initializer=_exit_when_orphaned,
-                initargs=(os.getpid(),),
-            )
+            self._pool = process_pool(self.max_workers)
         return self._pool
 
     def _ensure_world(self, detector) -> None:
@@ -295,8 +263,7 @@ class ProcessDetectorExecutor(DetectorExecutor):
             store.close()
 
     def describe(self) -> str:
-        ctx = self.context or "default"
-        return f"{self.name}(workers={self.max_workers}, context={ctx})"
+        return f"{self.name}(workers={self.max_workers})"
 
 
 # -- registry ----------------------------------------------------------------
@@ -348,19 +315,7 @@ def _thread_factory(arg: Optional[str] = None) -> ThreadDetectorExecutor:
 def _process_factory(arg: Optional[str] = None) -> ProcessDetectorExecutor:
     if not arg:
         return ProcessDetectorExecutor()
-    # "process:2" sizes the pool; "process:spawn" / "process:fork" picks
-    # the start method (REPRO_MP_CONTEXT still applies when unset).
-    if arg.isdigit():
-        return ProcessDetectorExecutor(max_workers=_parse_workers(arg, "process"))
-    import multiprocessing
-
-    if arg not in multiprocessing.get_all_start_methods():
-        raise ConfigError(
-            f"process executor argument must be a worker count or start "
-            f"method, got {arg!r} "
-            f"(methods: {multiprocessing.get_all_start_methods()})"
-        )
-    return ProcessDetectorExecutor(context=arg)
+    return ProcessDetectorExecutor(max_workers=_parse_workers(arg, "process"))
 
 
 register_executor("inline", _inline_factory)
@@ -397,7 +352,7 @@ def make_executor(spec: ExecutorSpec) -> DetectorExecutor:
     as-is (and its lifecycle stays with the caller — servers only close
     executors they built themselves); a string is looked up in the
     registry, with an optional ``:arg`` suffix passed to the factory
-    (``"thread:4"``, ``"process:spawn"``).
+    (``"thread:4"``, ``"process:2"``).
     """
     validate_executor_spec(spec)
     if spec is None:

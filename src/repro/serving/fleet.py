@@ -67,7 +67,7 @@ from repro.errors import (
     ShardLostError,
     WireTimeoutError,
 )
-from repro.experiments.parallel import resolve_context
+from repro.parallel.procs import mp_context, start_child, stop_process
 from repro.parallel.shm import SharedDetectionCache, publish_worlds
 from repro.serving.faults import FaultPlan
 from repro.serving.net import (
@@ -104,17 +104,16 @@ class FleetConfig:
     admission limit, so shards never queue internally — the fleet's one
     waiting line is the router's, bounded at ``queue_capacity`` waiting
     submissions per shard. ``placement`` names a policy from
-    :mod:`repro.serving.placement` (or is an instance). ``context``
-    picks the multiprocessing start method (None honours
-    ``REPRO_MP_CONTEXT`` / the platform default). ``shared_cache``
-    wires every shard into one cross-process detection memo.
+    :mod:`repro.serving.placement` (or is an instance). Shards start
+    with the ``REPRO_MP_CONTEXT`` start method (see
+    :mod:`repro.parallel.procs`). ``shared_cache`` wires every shard
+    into one cross-process detection memo.
     """
 
     n_shards: int = 2
     placement: Union[str, PlacementPolicy, None] = None
     server: ServerConfig = field(default_factory=ServerConfig)
     queue_capacity: int = 64
-    context: Optional[str] = None
     shared_cache: bool = True
     host: str = "127.0.0.1"
     launch_timeout: float = 60.0
@@ -172,7 +171,7 @@ class FleetConfig:
             # must not) cross a process boundary.
             raise ConfigError(
                 "fleet server configs must name their detector executor "
-                "by spec string (e.g. 'thread', 'process:spawn'); "
+                "by spec string (e.g. 'thread', 'process:2'); "
                 "DetectorExecutor instances cannot be shipped to shard "
                 "processes"
             )
@@ -210,9 +209,7 @@ def _shard_main(spec: _ShardSpec, conn) -> None:
     ephemeral port (or a startup error) through ``conn``, then serves
     until a client sends the ``shutdown`` op.
     """
-    import os
-
-    os.environ["REPRO_IN_WORKER"] = "1"
+    start_child()
     try:
         if spec.cache is not None:
             from repro.parallel.shm import adopt_shared_cache
@@ -239,18 +236,6 @@ def _shard_main(spec: _ShardSpec, conn) -> None:
             faults=spec.faults or None,
         )
     )
-
-
-async def _reap(process, grace: float) -> bool:
-    """Wait (without blocking the loop) up to ``grace``s for a child to
-    die; True once it is dead."""
-    loop = asyncio.get_running_loop()
-    deadline = loop.time() + grace
-    while process.is_alive() and loop.time() < deadline:
-        # Polling is the only option: multiprocessing exposes no awaitable
-        # for child death, and the 20ms cadence bounds reap latency.
-        await asyncio.sleep(0.02)  # noqa: ASYNC110
-    return not process.is_alive()
 
 
 async def _cancel_until_done(tasks) -> None:
@@ -563,12 +548,7 @@ class FleetRouter:
         return router
 
     async def _start(self, dataset, engine_seed: int) -> None:
-        ctx = resolve_context(self.config.context)
-        if ctx is None:
-            import multiprocessing
-
-            ctx = multiprocessing.get_context()
-        self._ctx = ctx
+        self._ctx = mp_context()
         self._stores = publish_worlds([dataset.world])
         if self.config.shared_cache:
             # A private store per fleet: counters and entries belong to
@@ -594,6 +574,8 @@ class FleetRouter:
                 # One relaunch attempt before giving up: transient
                 # resource blips (fd pressure, a slow manager handshake)
                 # should not doom the whole fleet.
+                await stop_process(shard.process)
+                shard.conn.close()
                 shard.process, shard.conn = self._spawn_process(shard.spec)
                 retried, payload2 = await self._await_startup(shard)
                 if retried != "ok":
@@ -619,8 +601,8 @@ class FleetRouter:
             # Daemonic children may not spawn children of their own — but
             # a shard whose server runs the *process* detector executor
             # must start pool workers. Those shards run non-daemonic;
-            # shutdown's terminate→kill→reap escalation guarantees they
-            # are collected on every exit path regardless.
+            # stop_process's terminate→kill→join escalation guarantees
+            # they are collected on every exit path regardless.
             daemon=not _shard_spawns_children(spec.server),
         )
         process.start()
@@ -706,23 +688,8 @@ class FleetRouter:
         for shard in self.shards:
             # Only shards that acked the drain get the graceful window;
             # a shard that couldn't even ack will never exit on its own.
-            while (
-                shard.index in acked
-                and shard.process.is_alive()
-                and loop.time() < deadline
-            ):
-                # No awaitable exists for child-process exit; poll with a
-                # bounded deadline (kill below ends the wait regardless).
-                await asyncio.sleep(0.02)  # noqa: ASYNC110
-            if shard.process.is_alive():
-                # The drain was ignored (wedged loop, stalled detector):
-                # escalate terminate -> kill so shutdown always returns.
-                shard.process.terminate()
-                if not await _reap(shard.process, 2.0):
-                    shard.process.kill()
-                    await _reap(shard.process, 5.0)
-            # join() on a dead child reaps the zombie entry.
-            shard.process.join(timeout=1)
+            grace = deadline - loop.time() if shard.index in acked else 0.0
+            await stop_process(shard.process, grace)
             shard.conn.close()
         for handle in self._handles:
             if not handle.done:
@@ -1113,13 +1080,8 @@ class FleetRouter:
         if shard.client is not None:
             await shard.client.close()
             shard.client = None
-        # 2. Make sure the old process is dead (a hung one needs SIGKILL
-        # — its loop is wedged, so SIGTERM's handler may never run),
-        # then reap it.
-        if shard.process.is_alive():
-            shard.process.kill()
-            await _reap(shard.process, 10.0)
-        shard.process.join(timeout=1)
+        # 2. Make sure the old process is dead, then reap it.
+        await stop_process(shard.process)
         shard.conn.close()
         async with self._capacity:
             shard.active = 0
@@ -1147,10 +1109,7 @@ class FleetRouter:
                 shard.port = payload
                 await self._connect_shard(shard)
                 break
-            if shard.process.is_alive():
-                shard.process.kill()
-                await _reap(shard.process, 10.0)
-            shard.process.join(timeout=1)
+            await stop_process(shard.process)
             shard.conn.close()
         # The caller (_recover_shard) re-places the returned sessions on
         # the relaunched shard or survivors once the recovering flag is

@@ -91,7 +91,7 @@ class ServerConfig:
     executor:
         Where fused detector calls run: a registered name (``"inline"``,
         ``"thread"``, ``"process"``, optionally ``"name:arg"`` like
-        ``"thread:4"`` or ``"process:spawn"``), or a
+        ``"thread:4"`` or ``"process:2"``), or a
         :class:`~repro.serving.executors.DetectorExecutor` instance
         (whose lifecycle then stays with the caller). Off-loop executors
         overlap detection with session CPU work; outcomes are identical

@@ -32,7 +32,7 @@ way a migration test stages a session mid-flight.
 
 The ``{"queries": [...]}`` object form also accepts a top-level
 ``"executor"`` key — a detector executor spec string (``"inline"``,
-``"thread:2"``, ``"process:spawn"``, …) recorded with the workload so a
+``"thread:2"``, ``"process:2"``, …) recorded with the workload so a
 replay reproduces the serving mode it was captured under. Read it with
 :func:`load_executor`; ``repro serve``/``repro fleet`` use it as the
 default when no ``--executor`` flag is given.

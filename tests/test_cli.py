@@ -152,17 +152,37 @@ class TestServe:
         assert code == 1
         assert "exactly one" in text
 
-    def test_listen_spec_validated(self):
-        from repro.errors import ReproError
-
-        with pytest.raises(ReproError, match="HOST:PORT"):
-            run_cli(
-                "serve", "--dataset", "dashcam", "--listen", "no-port-here",
-            )
-        with pytest.raises(ReproError, match="integer"):
-            run_cli(
-                "serve", "--dataset", "dashcam", "--listen", "127.0.0.1:x",
-            )
+    @pytest.mark.parametrize(
+        "argv, mp_context, message",
+        [
+            (["serve", "--dataset", "dashcam", "--listen", "no-port-here"],
+             None, "ReproError: --listen expects HOST:PORT"),
+            (["serve", "--dataset", "dashcam", "--listen", "127.0.0.1:x"],
+             None, "ReproError: --listen port must be an integer"),
+            (["serve", "--dataset", "dashcam", "--listen", "127.0.0.1:0",
+              "--executor", "bogus"],
+             None, "ConfigError: unknown detector executor 'bogus'"),
+            (["fleet", "--dataset", "dashcam", "--workload", "WORKLOAD"],
+             "bogus", "ConfigError: unknown multiprocessing start method"),
+            (["query", "--dataset", "dashcam", "--object", "car"],
+             None, "QueryError: class 'car' not in dataset 'dashcam'"),
+        ],
+        ids=["no-port", "bad-port", "executor", "mp-context", "class"],
+    )
+    def test_listen_spec_validated(
+        self, argv, mp_context, message, tmp_path, monkeypatch
+    ):
+        """Bad input gets one ``error:`` line and exit code 1, not a
+        traceback."""
+        workload = tmp_path / "wl.json"
+        workload.write_text('{"queries": [{"object": "person", "limit": 1}]}')
+        if mp_context is not None:
+            monkeypatch.setenv("REPRO_MP_CONTEXT", mp_context)
+        argv = [str(workload) if arg == "WORKLOAD" else arg for arg in argv]
+        code, text = run_cli(*argv, "--scale", "0.02")
+        assert code == 1
+        assert text.startswith(f"error: {message}")
+        assert text.count("\n") == 1
 
 
 class TestFleet:

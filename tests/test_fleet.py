@@ -264,14 +264,15 @@ class TestFleetReplayIdentity:
 
 class TestSpawnContextMigration:
     def test_every_method_migrates_between_spawned_shards(
-        self, solo_outcomes
+        self, solo_outcomes, monkeypatch
     ):
         """Pause on a loaded shard, restore in a fresh spawn-context
         process, merged trace byte-identical — for every method."""
         dataset = make_tiny_dataset(seed=11)
+        monkeypatch.setenv("REPRO_MP_CONTEXT", "spawn")
 
         async def go():
-            router = await _launch(dataset, n_shards=2, context="spawn")
+            router = await _launch(dataset, n_shards=2)
             try:
                 staged = []
                 for index, item in enumerate(ALL_METHOD_ITEMS):

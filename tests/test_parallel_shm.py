@@ -4,10 +4,10 @@ The contracts under test:
 
 * a published world pickles as a ~100-byte handle and the attached
   world answers every query identically to the original;
-* ``parallel_traces``/``parallel_sweep_methods`` stay element-wise
-  identical to serial under both fork and spawn start methods with
-  ``shared_world`` on (the CI default fork would otherwise mask
-  spawn-only serialization bugs);
+* ``parallel_traces``/``parallel_sweep_methods``, which always ship
+  worlds over shared memory, stay element-wise identical to serial
+  under the fork, spawn and forkserver start methods (the CI default
+  fork would otherwise mask spawn-only serialization bugs);
 * segment hygiene — the pool unlinks every ``repro_shm_*`` segment on
   normal exit and after an injected worker crash, and nothing stale is
   left in ``/dev/shm``;
@@ -152,28 +152,26 @@ def _sweep_engine():
     return engine
 
 
-@pytest.mark.parametrize("context", ["fork", "spawn"])
-def test_parallel_traces_identical_with_shared_world(context):
+@pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+def test_parallel_traces_identical_with_shared_world(start_method, monkeypatch):
     engine = _sweep_engine()
     make = partial(_make_dataset_searcher, engine, "person")
     serial = parallel_traces(make, 3, jobs=1, frame_budget=300)
-    parallel = parallel_traces(
-        make, 3, jobs=2, context=context, shared_world=True, frame_budget=300
-    )
+    monkeypatch.setenv("REPRO_MP_CONTEXT", start_method)
+    parallel = parallel_traces(make, 3, jobs=2, frame_budget=300)
     assert len(serial) == len(parallel) == 3
     for a, b in zip(serial, parallel):
         assert _traces_equal(a, b)
     assert engine.dataset.world._shared_handle is None
 
 
-@pytest.mark.parametrize("context", ["fork", "spawn"])
-def test_parallel_sweep_identical_with_shared_world(context):
+@pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
+def test_parallel_sweep_identical_with_shared_world(start_method, monkeypatch):
     engine = _sweep_engine()
     query = DistinctObjectQuery("person", limit=6)
     serial = parallel_sweep_methods(engine, query, jobs=1)
-    parallel = parallel_sweep_methods(
-        engine, query, jobs=2, context=context, shared_world=True
-    )
+    monkeypatch.setenv("REPRO_MP_CONTEXT", start_method)
+    parallel = parallel_sweep_methods(engine, query, jobs=2)
     assert list(serial) == list(parallel)
     for method in serial:
         assert _traces_equal(serial[method].trace, parallel[method].trace)
@@ -192,9 +190,7 @@ def _crash_with_world(world, item):
 
 def test_segments_unlinked_after_normal_pool_exit():
     world = make_tiny_dataset(seed=5).world
-    results = parallel_map(
-        partial(_world_probe, world), range(4), jobs=2, shared_world=True
-    )
+    results = parallel_map(partial(_world_probe, world), range(4), jobs=2)
     assert results == [(i, world.num_instances) for i in range(4)]
     assert world._shared_handle is None
 
@@ -202,9 +198,7 @@ def test_segments_unlinked_after_normal_pool_exit():
 def test_segments_unlinked_after_worker_crash():
     world = make_tiny_dataset(seed=6).world
     with pytest.raises(BrokenProcessPool):
-        parallel_map(
-            partial(_crash_with_world, world), range(4), jobs=2, shared_world=True
-        )
+        parallel_map(partial(_crash_with_world, world), range(4), jobs=2)
     assert world._shared_handle is None
     # The autouse fixture asserts /dev/shm itself is clean.
 
@@ -356,8 +350,8 @@ class TestSharedDetectionCache:
         engine = QueryEngine(dataset, seed=5, detection_cache="shared")
         engine.detection_cache.clear()
         fn = partial(_observe_with_engine, engine)
-        first = parallel_map(fn, [0, 1], jobs=2, shared_world=True)
-        second = parallel_map(fn, [0, 1], jobs=2, shared_world=True)
+        first = parallel_map(fn, [0, 1], jobs=2)
+        second = parallel_map(fn, [0, 1], jobs=2)
         assert [obs for obs, _, _ in first] == [obs for obs, _, _ in second]
         # Second pool's workers start with cold local counters; their hits
         # can only come from entries another process wrote to the store.

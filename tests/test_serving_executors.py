@@ -9,18 +9,14 @@ in-flight detect futures before an owned pool is released), the
 ``pipeline_depth`` bound with its deferred-batch back-pressure, and the
 assembly-time cache-hit attribution snapshot are each pinned here.
 
-CI runs this module under both the fork and spawn start methods
+CI runs this module under the fork, spawn and forkserver start methods
 (``REPRO_MP_CONTEXT``) and once more under ``PYTHONASYNCIODEBUG=1``; as
 everywhere in the serving suites, each test drives a private loop via
 ``asyncio.run``.
 """
 
 import asyncio
-import os
-import subprocess
-import sys
 import threading
-import time
 
 import pytest
 
@@ -145,8 +141,6 @@ class TestRegistryAndSpecs:
         sized = make_executor("process:2")
         assert isinstance(sized, ProcessDetectorExecutor)
         assert sized.max_workers == 2
-        spawned = make_executor("process:spawn")
-        assert spawned.context == "spawn"
 
     def test_instances_pass_through_unwrapped(self, thread_exec):
         assert make_executor(thread_exec) is thread_exec
@@ -158,7 +152,7 @@ class TestRegistryAndSpecs:
             make_executor("inline:2")
         with pytest.raises(ConfigError, match="worker count"):
             make_executor("thread:lots")
-        with pytest.raises(ConfigError, match="start"):
+        with pytest.raises(ConfigError, match="worker count"):
             make_executor("process:sideways")
         with pytest.raises(ConfigError, match="executor must be"):
             validate_executor_spec(42)
@@ -250,16 +244,20 @@ class TestExecutorIdentity:
             # The work genuinely went through the off-loop path.
             assert engine.detector.detect_calls > 0
 
-    def test_spawned_process_executor_identical(self, solo_outcomes):
-        """``process:spawn`` exercises pickling of the full task envelope
-        (fork can lean on inherited memory; spawn cannot)."""
+    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
+    def test_spawned_process_executor_identical(
+        self, solo_outcomes, start_method, monkeypatch
+    ):
+        """spawn and forkserver workers exercise pickling of the full task
+        envelope (fork can lean on inherited memory; they cannot)."""
+        monkeypatch.setenv("REPRO_MP_CONTEXT", start_method)
         engine = fresh_engine()
         outcomes = engine.run_many(
             [QUERY] * 2,
             method=["exsample", "random"],
             run_seeds=[METHODS.index("exsample"), METHODS.index("random")],
             batch_size=4,
-            server_config=ServerConfig(executor="process:spawn"),
+            server_config=ServerConfig(executor="process"),
         )
         assert_traces_identical(
             outcomes[0].trace, solo_outcomes["exsample"].trace
@@ -365,48 +363,6 @@ class TestLifecycle:
             assert server.executor._pool is None
 
         asyncio.run(go())
-
-    def test_orphaned_pool_workers_exit(self):
-        """Regression: a pool owner killed with SIGKILL (the chaos
-        harness's shard kill) cannot shut its pool down, and under fork
-        the orphaned workers used to block on the call queue forever —
-        holding every inherited descriptor open. The worker-side orphan
-        watch must make them exit on their own within its poll period."""
-        script = (
-            "import os, sys, time\n"
-            "from repro.serving.executors import ProcessDetectorExecutor\n"
-            "executor = ProcessDetectorExecutor()\n"
-            "pool = executor._ensure_pool()\n"
-            "print(pool.submit(os.getpid).result(), flush=True)\n"
-            "time.sleep(60)\n"
-        )
-        env = dict(os.environ, PYTHONPATH="src")
-        owner = subprocess.Popen(
-            [sys.executable, "-c", script],
-            stdout=subprocess.PIPE,
-            cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            text=True,
-            env=env,
-        )
-        try:
-            worker_pid = int(owner.stdout.readline())
-            owner.kill()  # SIGKILL: no chance to shut the pool down
-            owner.wait(timeout=10)
-            deadline = time.monotonic() + 10.0
-            while time.monotonic() < deadline:
-                try:
-                    os.kill(worker_pid, 0)
-                except ProcessLookupError:
-                    return  # the orphan noticed and exited
-                time.sleep(0.1)
-            os.kill(worker_pid, 9)  # clean up before failing
-            raise AssertionError(
-                f"orphaned pool worker {worker_pid} outlived its owner"
-            )
-        finally:
-            owner.stdout.close()
-            if owner.poll() is None:
-                owner.kill()
 
     def test_passed_in_instances_survive_server_close(self, thread_exec):
         engine = fresh_engine()
