@@ -171,10 +171,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--executor", default=None, metavar="SPEC",
-        help="detector executor spec: inline, thread[:N], or "
-             "process[:N] (results are unaffected; thread/"
-             "process overlap fused detection with session CPU work); "
-             "default: the workload file's 'executor' key, else inline",
+        help="detector executor spec: inline or thread[:N] (results "
+             "are unaffected; thread overlaps fused detection with "
+             "session CPU work); default: the workload file's "
+             "'executor' key, else inline",
     )
     serve.add_argument(
         "--no-batching", action="store_true",
@@ -236,10 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fleet.add_argument(
         "--executor", default=None, metavar="SPEC",
-        help="detector executor spec inside each shard server: inline, "
-             "thread[:N], or process[:N] (results are "
-             "unaffected); default: the workload file's 'executor' key, "
-             "else inline",
+        help="detector executor spec inside each shard server: inline "
+             "or thread[:N] (results are unaffected); default: the "
+             "workload file's 'executor' key, else inline",
     )
     fleet.add_argument(
         "--no-shared-cache", action="store_true",

@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -117,6 +117,8 @@ class SimulatedDetector:
     :class:`~repro.utils.rng.TransientRng` — streams stay keyed purely on
     ``(seed, video, frame)``, so which thread detects a frame can never
     change its output — and the invocation counters are lock-guarded.
+    Session checkpoints embed the detector, so it pickles without the
+    lock and the thread-local, and recreates both on restore.
 
     This class is also the seam for a *real* detector backend (GPU/ONNX,
     an EKO-style compressed-video model): any object with the same
@@ -463,179 +465,3 @@ class SimulatedDetector:
             )
         ]
 
-
-# -- off-process detection: a picklable task envelope ------------------------
-#
-# The serving stack's process executor (repro.serving.executors) runs fused
-# detect_batch calls in worker processes. Shipping the parent detector's
-# live cache would be wasteful (its contents deliberately do not pickle, so
-# the worker would re-generate frames the parent already memoized) — so the
-# call is split: the parent resolves cache hits on its own warm cache,
-# ships only the misses inside a DetectTask (the detector pickles small:
-# a published world travels as a ~100-byte SharedWorldHandle, the cache as
-# configuration only), and merges the worker's generated detections back
-# into its cache. Counter accounting happens entirely parent-side at split
-# time, so stats are identical to an inline detect_batch call.
-
-
-@dataclass(frozen=True)
-class DetectTask:
-    """One off-process detection call: everything the worker needs.
-
-    ``scope`` (when the detector exposes ``cache_scope``) pins the task to
-    one detector identity: the worker recomputes the scope from the world
-    it actually attached and refuses to run against a mismatch, so a stale
-    shared-memory segment can never produce silently-wrong detections.
-    """
-
-    detector: object
-    videos: Tuple[int, ...]
-    frames: Tuple[int, ...]
-    class_filter: Optional[str]
-    scope: Optional[str]
-
-
-@dataclass
-class DetectSplit:
-    """Parent-side residue of :func:`split_detect_task`.
-
-    Holds the partially-filled output (cache hits resolved), the ordered
-    miss keys still owed by the worker, and enough context for
-    :func:`merge_detect_results` to memoize and distribute the worker's
-    results. Never crosses a process boundary.
-    """
-
-    out: List[Optional[List[Detection]]]
-    pending: "dict[tuple, List[int]]"
-    cache: Optional[DetectionCache]
-    scope: Optional[str]
-    passthrough: bool
-
-
-def split_detect_task(
-    detector,
-    videos: Sequence[int],
-    frames: Sequence[int],
-    class_filter: Optional[str] = None,
-) -> "tuple[Optional[DetectTask], DetectSplit]":
-    """Resolve cache hits locally; build a task covering only the misses.
-
-    Mirrors ``detect_batch``'s cached branch exactly — per-occurrence
-    ``cache.get`` for hit keys, one shipped generation per *distinct* miss
-    key — and charges the detector's invocation counters up front, so the
-    parent detector's stats match an inline call. Returns ``(task,
-    split)``; ``task`` is None when every frame was served from cache (no
-    worker round-trip needed).
-    """
-    if len(videos) != len(frames):
-        raise ConfigError("videos and frames must align")
-    n = len(frames)
-    charge = getattr(detector, "_charge", None)
-    if charge is not None:
-        charge(n)
-    else:  # duck-typed detector: best-effort counter parity
-        if hasattr(detector, "detect_calls"):
-            detector.detect_calls += 1
-        if hasattr(detector, "frames_processed"):
-            detector.frames_processed += n
-    scope_fn = getattr(detector, "cache_scope", None)
-    scope = scope_fn() if scope_fn is not None else None
-    cache = getattr(detector, "cache", None)
-    if cache is None:
-        # No memo to consult: ship the request verbatim (duplicates
-        # included — exactly what the inline no-cache branch generates).
-        task = DetectTask(
-            detector=detector,
-            videos=tuple(int(v) for v in videos),
-            frames=tuple(int(f) for f in frames),
-            class_filter=class_filter,
-            scope=scope,
-        )
-        return task, DetectSplit(
-            out=[None] * n, pending={}, cache=None, scope=scope,
-            passthrough=True,
-        )
-    out: List[Optional[List[Detection]]] = [None] * n
-    pending: "dict[tuple, List[int]]" = {}
-    for i, (video, frame) in enumerate(zip(videos, frames, strict=True)):
-        key = (int(video), int(frame), class_filter)
-        indices = pending.get(key)
-        if indices is not None:
-            indices.append(i)
-            continue
-        hit = cache.get((scope,) + key)
-        if hit is None:
-            pending[key] = [i]
-        else:
-            out[i] = hit
-    split = DetectSplit(
-        out=out, pending=pending, cache=cache, scope=scope,
-        passthrough=False,
-    )
-    if not pending:
-        return None, split
-    task = DetectTask(
-        detector=detector,
-        videos=tuple(key[0] for key in pending),
-        frames=tuple(key[1] for key in pending),
-        class_filter=class_filter,
-        scope=scope,
-    )
-    return task, split
-
-
-def execute_detect_task(task: DetectTask) -> List[List[Detection]]:
-    """Worker-side half: generate detections for a shipped task.
-
-    Module-level (not a closure) so it pickles under the spawn start
-    method. The unpickled detector's cache restores cold by design; it is
-    dropped entirely so the worker neither counts phantom misses nor
-    wastes memory memoizing results the parent will memoize anyway.
-    """
-    detector = task.detector
-    if getattr(detector, "cache", None) is not None:
-        detector.cache = None
-    if task.scope is not None:
-        # Recompute from the world this process actually attached — a
-        # pickled memo would make the comparison a tautology.
-        if getattr(detector, "_scope", None) is not None:
-            detector._scope = None
-        actual = detector.cache_scope()
-        if actual != task.scope:
-            raise ConfigError(
-                f"detect task scope mismatch: parent expected "
-                f"{task.scope[:12]}… but the worker's attached world "
-                f"yields {actual[:12]}…; the shared world segment does "
-                "not match the detector that issued this task"
-            )
-    return detector.detect_batch(
-        list(task.videos), list(task.frames), class_filter=task.class_filter
-    )
-
-
-def merge_detect_results(
-    split: DetectSplit, results: List[List[Detection]]
-) -> List[List[Detection]]:
-    """Parent-side half: memoize worker results and fill the output.
-
-    ``results`` aligns with the task's shipped ``(video, frame)`` pairs —
-    for a cached split, the distinct miss keys in insertion order.
-    """
-    if split.passthrough:
-        return results
-    pending = split.pending
-    if len(results) != len(pending):
-        raise ConfigError(
-            f"detect task returned {len(results)} frame results for "
-            f"{len(pending)} shipped frames"
-        )
-    cache = split.cache
-    out = split.out
-    for key, detections in zip(pending, results, strict=True):
-        if cache is not None:
-            cache.put((split.scope,) + key, detections)
-        indices = pending[key]
-        out[indices[0]] = detections
-        for extra in indices[1:]:
-            out[extra] = list(detections)
-    return out  # type: ignore[return-value]

@@ -1,11 +1,11 @@
 """One lifecycle for every child process the library starts.
 
-Experiment pools (:func:`repro.experiments.parallel.parallel_map`), the
-``process`` detector executor's pool, fleet shards and the shared-cache
-manager all start from the one ``REPRO_MP_CONTEXT`` switch
-(:func:`mp_context`) and run :func:`start_child` first, so each exits as
-soon as its owner is gone: an owner killed by SIGKILL stops nothing it
-started. :func:`stop_process` is the one way to stop a child.
+Experiment pools (:func:`repro.experiments.parallel.parallel_map`),
+fleet shards and the shared-cache manager all start from the one
+``REPRO_MP_CONTEXT`` switch (:func:`mp_context`) and run
+:func:`start_child` first, so each exits as soon as its owner is gone:
+an owner killed by SIGKILL stops nothing it started.
+:func:`stop_process` is the one way to stop a child.
 
 The watch waits on :func:`multiprocessing.parent_process`'s sentinel,
 which fires when the owner exits. Comparing ``os.getppid()`` with the

@@ -4,23 +4,20 @@ The event-loop front end over the library's resumable search steppers:
 :class:`QueryServer` runs many :class:`~repro.query.session.QuerySession`
 s concurrently, :class:`DetectorBatcher` coalesces their pending frame
 requests into fused detector batches (the cross-session batching the
-ROADMAP's async-serving item calls for), detector executors run the
-fused calls off-loop (thread/process pools with double-buffered
-pipelining, see :mod:`repro.serving.executors`), and scheduling policies
-order admission and batch assembly. Entry points: ``engine.serve()`` for
-async code, ``engine.run_many`` for the blocking wrapper, ``repro
-serve`` for workload replay from the command line.
+ROADMAP's async-serving item calls for), detector executors decide
+where a fused call runs (inline on the loop, or on a thread pool; see
+:mod:`repro.serving.executors`), and scheduling policies order admission
+and batch assembly. Entry points: ``engine.serve()`` for async code,
+``engine.run_many`` for the blocking wrapper, ``repro serve`` for
+workload replay from the command line.
 """
 
 from repro.serving.batcher import BatcherStats, DetectorBatcher
 from repro.serving.executors import (
-    DETECTOR_EXECUTORS,
     DetectorExecutor,
     InlineDetectorExecutor,
-    ProcessDetectorExecutor,
     ThreadDetectorExecutor,
     make_executor,
-    register_executor,
 )
 from repro.serving.faults import (
     FaultPlan,
@@ -74,7 +71,6 @@ from repro.serving.workload import (
 
 __all__ = [
     "BatcherStats",
-    "DETECTOR_EXECUTORS",
     "DetectorBatcher",
     "DetectorExecutor",
     "FaultPlan",
@@ -89,7 +85,6 @@ __all__ = [
     "NetServer",
     "PLACEMENT_POLICIES",
     "PlacementPolicy",
-    "ProcessDetectorExecutor",
     "QueryServer",
     "RemoteSession",
     "RetryPolicy",
@@ -108,7 +103,6 @@ __all__ = [
     "make_executor",
     "make_placement_policy",
     "make_scheduling_policy",
-    "register_executor",
     "register_placement",
     "register_policy",
     "replay",

@@ -31,23 +31,18 @@ Execution and pipelining
 *Where* an assembled batch runs is delegated to a
 :class:`~repro.serving.executors.DetectorExecutor`. The inline executor
 (the default) detects synchronously inside the flush — the historical
-behaviour. Off-loop executors (thread/process) turn the batcher into a
-double-buffered pipeline: up to ``pipeline_depth`` batches detect
-concurrently off-loop while the loop keeps assembling the next one from
-resuming sessions; batches assembled beyond that depth are *deferred*
-(queued, not dispatched) until a slot frees — back-pressure that costs
-no loop stall, because every session owning a deferred request is
-already parked on its future. Composition stays decided on the loop at
-flush time, so what each batch *computes* is independent of where or
-when it executes.
+behaviour. The thread executor receives each batch the moment it is
+assembled, and the loop keeps assembling the next one from resuming
+sessions while it detects; the executor's worker count bounds how many
+detect at once. Composition stays decided on the loop at flush time, so
+what each batch *computes* is independent of where or when it executes.
 """
 
 from __future__ import annotations
 
 import asyncio
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Deque, Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.core.environment import FrameRequest
 from repro.serving.executors import DetectorExecutor, InlineDetectorExecutor
@@ -70,15 +65,11 @@ class _PendingDetect:
 class _BatchJob:
     """One assembled fused call: composition frozen, execution pending.
 
-    Built on the loop at flush time — the videos/frames concatenation,
-    the member list and the cache-hit attribution snapshot are all fixed
-    here, so dispatch order and executor timing can never change what the
-    batch computes or whom it credits.
+    Built on the loop at flush time — the frame list, the member list and
+    the cache-hit attribution snapshot are all fixed here, so executor
+    timing can never change what the batch computes or whom it credits.
     """
 
-    detector: object
-    class_filter: Optional[str]
-    videos: List[int]
     frames: List[int]
     items: List[_PendingDetect]
 
@@ -102,9 +93,7 @@ class BatcherStats:
     #: Batches handed to an off-loop executor (inline execution counts
     #: in ``detector_calls`` only).
     dispatched_batches: int = 0
-    #: Batches that found the pipeline full and waited for a slot.
-    deferred_batches: int = 0
-    #: Most batches ever detecting concurrently (≤ ``pipeline_depth``).
+    #: Most batches ever in flight off-loop at once.
     peak_in_flight: int = 0
     #: Wall-clock seconds during which ≥1 batch was detecting off-loop —
     #: the union of in-flight intervals, not their sum. Compared against
@@ -148,18 +137,14 @@ class DetectorBatcher:
         requests reach the hint, the batch is flushed without waiting out
         the latency window — with a synchronous detector this makes
         fusing deterministic and latency-free. Sessions whose requests
-        are already dispatched or deferred are subtracted from the hint:
-        they cannot submit again until their batch resolves, so waiting
-        for them would stall the assembling buffer forever.
+        are already dispatched are subtracted from the hint: they cannot
+        submit again until their batch resolves, so waiting for them
+        would stall the assembling buffer forever.
     executor:
         A :class:`~repro.serving.executors.DetectorExecutor` deciding
         where assembled batches run (default: inline, the historical
         synchronous behaviour). The batcher only uses the executor; the
         server owns its lifecycle.
-    pipeline_depth:
-        Maximum batches detecting off-loop concurrently (ignored by
-        inline executors). 2 is the classic double buffer: batch N
-        detects while batch N+1 assembles.
     """
 
     def __init__(
@@ -169,25 +154,19 @@ class DetectorBatcher:
         flush_latency: float = 0.002,
         outstanding_hint: Optional[Callable[[], int]] = None,
         executor: Optional[DetectorExecutor] = None,
-        pipeline_depth: int = 2,
     ):
         self.policy = policy
         self.max_batch_size = max(1, int(max_batch_size))
         self.flush_latency = float(flush_latency)
         self._outstanding_hint = outstanding_hint
         self.executor = executor if executor is not None else InlineDetectorExecutor()
-        self.pipeline_depth = max(1, int(pipeline_depth))
         self._pending: List[_PendingDetect] = []
         self._pending_frames = 0
         self._timer: Optional[asyncio.TimerHandle] = None
-        #: Jobs currently executing off-loop (≤ pipeline_depth).
+        #: Jobs currently executing off-loop.
         self._in_flight: "set[_BatchJob]" = set()
-        #: Assembled jobs waiting for an in-flight slot (back-pressure
-        #: buffer; bounded in practice by the server's session cap —
-        #: every deferred request's session is parked on its future).
-        self._deferred: "Deque[_BatchJob]" = deque()
-        #: Requests inside dispatched/deferred jobs: their sessions are
-        #: blocked and must not be awaited by the quiescence trigger.
+        #: Requests inside dispatched jobs: their sessions are blocked
+        #: and must not be awaited by the quiescence trigger.
         self._blocked_requests = 0
         self._busy_since: Optional[float] = None
         self._settle_waiters: List["asyncio.Future[None]"] = []
@@ -240,7 +219,7 @@ class DetectorBatcher:
         hint = self._outstanding_hint() if self._outstanding_hint else None
         if hint is None:
             return False
-        # Sessions blocked inside in-flight/deferred batches cannot add
+        # Sessions blocked inside in-flight batches cannot add
         # to the pending set; the assembling buffer is quiescent once the
         # *free* sessions are all accounted for.
         if len(self._pending) >= hint - self._blocked_requests:
@@ -306,7 +285,7 @@ class DetectorBatcher:
         # Attribution snapshots here, at assembly — before this batch (or
         # any batch dispatched after it) can touch the cache.
         self._attribute_cache_hits(detector, class_filter, batch)
-        job = _BatchJob(detector, class_filter, videos, frames, batch)
+        job = _BatchJob(frames, batch)
         self._blocked_requests += len(batch)
         executor = self.executor
         if not executor.off_loop:
@@ -319,14 +298,6 @@ class DetectorBatcher:
                 return
             self._complete(job, detections, None)
             return
-        if len(self._in_flight) >= self.pipeline_depth:
-            self._deferred.append(job)
-            self.stats.deferred_batches += 1
-            return
-        self._dispatch(job)
-
-    def _dispatch(self, job: _BatchJob) -> None:
-        """Start one assembled job on the off-loop executor."""
         loop = asyncio.get_running_loop()
         stats = self.stats
         if not self._in_flight:
@@ -335,20 +306,20 @@ class DetectorBatcher:
         stats.dispatched_batches += 1
         stats.peak_in_flight = max(stats.peak_in_flight, len(self._in_flight))
         try:
-            inner = self.executor.submit(
-                job.detector, job.videos, job.frames, job.class_filter, loop
+            inner = executor.submit(
+                detector, videos, frames, class_filter, loop
             )
         except Exception as exc:
             self._in_flight.discard(job)
             self._complete(job, None, exc)
-            self._refill_and_settle(loop)
+            self._wake_settlers()
             return
         inner.add_done_callback(
             lambda fut, job=job: self._on_job_done(job, fut)
         )
 
     def _on_job_done(self, job: _BatchJob, fut: "asyncio.Future") -> None:
-        """Executor callback (runs on the loop): distribute and refill."""
+        """Executor callback (runs on the loop): distribute the results."""
         loop = asyncio.get_running_loop()
         self._in_flight.discard(job)
         if not self._in_flight and self._busy_since is not None:
@@ -364,12 +335,10 @@ class DetectorBatcher:
         else:
             exc = fut.exception()  # always retrieved, even if all awaiters left
             self._complete(job, None if exc is not None else fut.result(), exc)
-        self._refill_and_settle(loop)
+        self._wake_settlers()
 
-    def _refill_and_settle(self, loop: asyncio.AbstractEventLoop) -> None:
-        while self._deferred and len(self._in_flight) < self.pipeline_depth:
-            self._dispatch(self._deferred.popleft())
-        if not self._in_flight and not self._deferred:
+    def _wake_settlers(self) -> None:
+        if not self._in_flight:
             waiters, self._settle_waiters = self._settle_waiters, []
             for waiter in waiters:
                 if not waiter.done():
@@ -397,14 +366,14 @@ class DetectorBatcher:
             offset += n
 
     async def settle(self) -> None:
-        """Wait until no batch is in flight or deferred.
+        """Wait until no batch is in flight.
 
         Drain and shutdown call this after :meth:`flush` so off-loop
         detect futures resolve (and their sessions observe the results)
         before the executor is released. Immediate no-op under the inline
         executor.
         """
-        while self._in_flight or self._deferred:
+        while self._in_flight:
             waiter: "asyncio.Future[None]" = (
                 asyncio.get_running_loop().create_future()
             )

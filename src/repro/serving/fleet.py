@@ -171,7 +171,7 @@ class FleetConfig:
             # must not) cross a process boundary.
             raise ConfigError(
                 "fleet server configs must name their detector executor "
-                "by spec string (e.g. 'thread', 'process:2'); "
+                "by spec string ('inline', 'thread' or 'thread:N'); "
                 "DetectorExecutor instances cannot be shipped to shard "
                 "processes"
             )
@@ -194,12 +194,6 @@ class _ShardSpec:
     #: a crash carry only the ``repeat=True`` subset, so one scripted
     #: kill does not become a crash loop.
     faults: tuple = ()
-
-
-def _shard_spawns_children(server: ServerConfig) -> bool:
-    """Whether this server config makes a shard start its own processes."""
-    spec = server.executor
-    return isinstance(spec, str) and spec.partition(":")[0] == "process"
 
 
 def _shard_main(spec: _ShardSpec, conn) -> None:
@@ -267,7 +261,7 @@ class _Shard:
         self.port: Optional[int] = None
         self.client: Optional[FleetClient] = None
         #: Router-tracked sessions admitted to this shard and not yet
-        #: terminal — what placement policies see as load.
+        #: terminal. Placement sees ``active + queued`` as load.
         self.active = 0
         #: Submissions waiting in this shard's router-side queue.
         self.queued = 0
@@ -598,12 +592,8 @@ class FleetRouter:
             target=_shard_main,
             args=(spec, child_conn),
             name=f"repro-shard-{spec.index}",
-            # Daemonic children may not spawn children of their own — but
-            # a shard whose server runs the *process* detector executor
-            # must start pool workers. Those shards run non-daemonic;
-            # stop_process's terminate→kill→join escalation guarantees
-            # they are collected on every exit path regardless.
-            daemon=not _shard_spawns_children(spec.server),
+            # Daemonic: a shard starts no child process of its own.
+            daemon=True,
         )
         process.start()
         child_conn.close()
@@ -1141,7 +1131,8 @@ class FleetRouter:
                 candidates = [s for s in self.shards if s.live]
                 if candidates:
                     return min(
-                        candidates, key=lambda s: (s.active, s.index)
+                        candidates,
+                        key=lambda s: (s.active + s.queued, s.index),
                     )
                 if all(s.down for s in self.shards):
                     return None

@@ -13,9 +13,9 @@ Built-ins:
   locality (cache scope, chunk beliefs warmed by earlier queries) stays
   in one process. Adding shards remaps tenants, as plain modulo hashing
   does.
-* ``least_loaded`` — the shard with the fewest router-tracked active
-  sessions at submission time (ties broken by shard index). Best
-  throughput for skewed tenants at the price of tenant locality.
+* ``least_loaded`` — the shard with the fewest router-tracked sessions,
+  active or queued, at submission time (ties broken by shard index).
+  Best throughput for skewed tenants at the price of tenant locality.
 
 Third-party policies register with :func:`register_placement` and are
 then selectable by name everywhere a built-in is (``FleetConfig``,
@@ -47,8 +47,10 @@ class PlacementPolicy:
 
         ``item`` is a :class:`~repro.serving.workload.WorkloadItem` (or
         anything exposing ``tenant``); each element of ``shards`` exposes
-        ``index`` and ``active`` (router-tracked sessions currently
-        submitted and not yet terminal).
+        ``index``, ``active`` (router-tracked sessions the shard has
+        admitted and not yet finished) and ``queued`` (submissions still
+        waiting in the shard's router-side queue). A burst of submissions
+        is all ``queued`` until the shard's dispatcher admits it.
         """
         raise NotImplementedError
 
@@ -75,7 +77,9 @@ class LeastLoadedPolicy(PlacementPolicy):
         # where positions and fleet indexes can differ.
         return min(
             range(len(shards)),
-            key=lambda i: (shards[i].active, shards[i].index),
+            key=lambda i: (
+                shards[i].active + shards[i].queued, shards[i].index
+            ),
         )
 
 

@@ -89,16 +89,12 @@ class ServerConfig:
         stepping — the pre-server behaviour). Outcomes are identical
         either way; only detector call counts and latency change.
     executor:
-        Where fused detector calls run: a registered name (``"inline"``,
-        ``"thread"``, ``"process"``, optionally ``"name:arg"`` like
-        ``"thread:4"`` or ``"process:2"``), or a
+        Where fused detector calls run: ``"inline"``, ``"thread"`` or
+        ``"thread:N"`` (``N`` worker threads), or a
         :class:`~repro.serving.executors.DetectorExecutor` instance
-        (whose lifecycle then stays with the caller). Off-loop executors
-        overlap detection with session CPU work; outcomes are identical
-        under every executor.
-    pipeline_depth:
-        Maximum fused batches detecting off-loop concurrently (the
-        double buffer; ignored by the inline executor).
+        (whose lifecycle then stays with the caller). The thread
+        executor overlaps detection with session CPU work; outcomes are
+        identical under every executor.
     """
 
     max_in_flight: int = 8
@@ -108,15 +104,12 @@ class ServerConfig:
     policy: Union[str, SchedulingPolicy] = "round_robin"
     batching: bool = True
     executor: ExecutorSpec = "inline"
-    pipeline_depth: int = 2
 
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
             raise QueryError("max_in_flight must be >= 1")
         if self.queue_capacity < 0:
             raise QueryError("queue_capacity must be >= 0")
-        if self.pipeline_depth < 1:
-            raise QueryError("pipeline_depth must be >= 1")
         validate_executor_spec(self.executor)
 
 
@@ -206,7 +199,6 @@ class ServerStats:
             (
                 f"executor: {self.executor} — "
                 f"{b.dispatched_batches} dispatched, "
-                f"{b.deferred_batches} deferred, "
                 f"peak depth {b.peak_in_flight}, "
                 f"off-loop busy {b.offloop_busy_s * 1e3:.1f}ms"
             ),
@@ -366,7 +358,6 @@ class QueryServer:
             flush_latency=self.config.flush_latency,
             outstanding_hint=self._running_count,
             executor=self.executor,
-            pipeline_depth=self.config.pipeline_depth,
         )
         self._seq = 0
         self._handles: List[SessionHandle] = []

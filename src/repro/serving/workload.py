@@ -32,7 +32,7 @@ way a migration test stages a session mid-flight.
 
 The ``{"queries": [...]}`` object form also accepts a top-level
 ``"executor"`` key — a detector executor spec string (``"inline"``,
-``"thread:2"``, ``"process:2"``, …) recorded with the workload so a
+``"thread"`` or ``"thread:N"``) recorded with the workload so a
 replay reproduces the serving mode it was captured under. Read it with
 :func:`load_executor`; ``repro serve``/``repro fleet`` use it as the
 default when no ``--executor`` flag is given.
@@ -135,7 +135,7 @@ def load_executor(path: str) -> Optional[str]:
 
     Mirrors :func:`repro.serving.faults.load_faults`: the key rides in
     the ``{"queries": [...]}`` object form and is validated against the
-    executor registry here, so a typo fails at load time rather than
+    accepted executor specs here, so a typo fails at load time rather than
     serving the whole workload on the wrong (default) executor.
     """
     with open(path, "r", encoding="utf-8") as handle:

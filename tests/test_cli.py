@@ -162,12 +162,21 @@ class TestServe:
             (["serve", "--dataset", "dashcam", "--listen", "127.0.0.1:0",
               "--executor", "bogus"],
              None, "ConfigError: unknown detector executor 'bogus'"),
+            (["serve", "--dataset", "dashcam", "--workload", "WORKLOAD",
+              "--executor", "process:2"],
+             None, "ConfigError: unknown detector executor 'process' "
+                   "(accepted: "),
+            (["fleet", "--dataset", "dashcam", "--workload", "WORKLOAD",
+              "--executor", "process"],
+             None, "ConfigError: unknown detector executor 'process' "
+                   "(accepted: "),
             (["fleet", "--dataset", "dashcam", "--workload", "WORKLOAD"],
              "bogus", "ConfigError: unknown multiprocessing start method"),
             (["query", "--dataset", "dashcam", "--object", "car"],
              None, "QueryError: class 'car' not in dataset 'dashcam'"),
         ],
-        ids=["no-port", "bad-port", "executor", "mp-context", "class"],
+        ids=["no-port", "bad-port", "executor", "serve-process",
+             "fleet-process", "mp-context", "class"],
     )
     def test_listen_spec_validated(
         self, argv, mp_context, message, tmp_path, monkeypatch

@@ -102,9 +102,10 @@ async def _launch(dataset, **overrides):
 
 
 class _FakeShard:
-    def __init__(self, index, active):
+    def __init__(self, index, active, queued=0):
         self.index = index
         self.active = active
+        self.queued = queued
 
 
 class TestPlacementPolicies:
@@ -127,6 +128,18 @@ class TestPlacementPolicies:
         shards = [_FakeShard(0, 2), _FakeShard(1, 0), _FakeShard(2, 0)]
         item = WorkloadItem(object="car")
         assert policy.choose(item, shards) == 1  # tie broken by index
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_least_loaded_spreads_a_queued_burst(self, k):
+        """A burst reaches placement before any dispatcher admits it, so
+        every shard reads ``active == 0``: queued submissions must count
+        as load, or the whole burst ties onto shard 0."""
+        policy = LeastLoadedPolicy()
+        shards = [_FakeShard(i, 0) for i in range(k)]
+        item = WorkloadItem(object="car")
+        for _ in range(2 * k):
+            shards[policy.choose(item, shards)].queued += 1
+        assert [shard.queued for shard in shards] == [2] * k
 
     def test_registry_round_trip_and_errors(self):
         assert set(PLACEMENT_POLICIES) >= {"hash_tenant", "least_loaded"}
@@ -215,10 +228,8 @@ class TestFleetReplayIdentity:
         handles, outcomes, migrated, stats = asyncio.run(go())
         if placement == "hash_tenant":
             # tenant-0 hashes to shard 0, tenant-1/2 to shard 1, so the
-            # affine policy provably uses both shards. (least_loaded may
-            # legitimately keep everything on shard 0 when sessions settle
-            # faster than they arrive; the migration below still exercises
-            # its second shard.)
+            # affine policy provably uses both shards. (least_loaded's
+            # split of a burst is pinned in TestFleetAdmission.)
             assert {h.shard for h in handles} == {0, 1}
         for item, outcome in zip(ALL_METHOD_ITEMS, outcomes):
             solo = solo_outcomes[(item.method, item.run_seed)]
@@ -358,6 +369,33 @@ class TestFleetAdmission:
         outcome_first, outcome_second = asyncio.run(go())
         assert outcome_first.num_results >= 1
         assert outcome_second.num_results >= 1
+
+    def test_least_loaded_splits_a_burst_evenly(self):
+        """The fleet-scaling bench's shape: 6 items submitted at once to
+        2 shards. The router sees them all before either dispatcher
+        admits one, so only the queued count can tell the shards apart;
+        the burst must split 3/3."""
+        dataset = make_tiny_dataset(seed=11)
+        items = [
+            WorkloadItem(object="car", limit=2, run_seed=i, tenant=f"t{i}")
+            for i in range(6)
+        ]
+
+        async def go():
+            router = await _launch(
+                dataset, n_shards=2, placement="least_loaded"
+            )
+            try:
+                handles = await replay_fleet(router, items, time_scale=0.0)
+                placed = [handle.shard for handle in handles]
+                for handle in handles:
+                    await handle.result()
+                return placed
+            finally:
+                await router.shutdown()
+
+        placed = asyncio.run(go())
+        assert [placed.count(0), placed.count(1)] == [3, 3], placed
 
     def test_submit_after_shutdown_is_refused(self):
         dataset = make_tiny_dataset(seed=11)

@@ -261,48 +261,6 @@ class TestKillRecoveryIdentity:
                           batch_size=item.batch_size)
         assert_traces_identical(outcome.trace, solo.trace)
 
-    def test_kill_with_process_executor_batch_in_flight(self):
-        """A shard serving on the *process* detector executor is
-        SIGKILLed mid-search — while fused batches are bouncing through
-        its worker pool. The shard's pool workers die with it (they
-        self-exit on the broken pipe), supervision relaunches the shard,
-        a fresh pool republishes the world, and the recovered sessions'
-        outcomes stay element-wise identical to solo runs."""
-        dataset = make_tiny_dataset(seed=11)
-        items = [
-            WorkloadItem(object="car", limit=4, run_seed=i, tenant=f"t{i}")
-            for i in range(3)
-        ]
-
-        async def go():
-            router = await _launch(
-                dataset,
-                n_shards=1,
-                checkpoint_every=2,
-                server=ServerConfig(executor="process"),
-                faults=FaultPlan((
-                    FaultSpec(kind="kill", shard=0, after_steps=4),
-                )),
-                **FAST_BEAT,
-            )
-            try:
-                handles = await replay_fleet(router, items, time_scale=0.0)
-                outcomes = [await h.result() for h in handles]
-                stats = await router.stats()
-                return outcomes, stats
-            finally:
-                await router.shutdown()
-
-        outcomes, stats = asyncio.run(go())
-        assert stats.restarts >= 1
-        assert not stats.down_shards
-        engine = QueryEngine(make_tiny_dataset(seed=11), seed=11)
-        for item, outcome in zip(items, outcomes):
-            solo = engine.run(
-                item.query(), method=item.method, run_seed=item.run_seed
-            )
-            assert_traces_identical(outcome.trace, solo.trace)
-
 
 # ---------------------------------------------------------------------------
 # Kill during a live migration.

@@ -3,10 +3,10 @@
 An owner killed with SIGKILL (the chaos harness's shard kill, an OOM
 kill) never shuts down what it started. Every kind of child the library
 starts must notice on its own and exit, under every start method: a
-``process`` detector executor's pool worker, a ``parallel_map`` pool
-worker, a 2-shard fleet (its shards and its shared-cache manager) and
-the shared-cache manager. Without a watch, an orphaned fork pool worker
-blocks on its call queue forever, holding every inherited descriptor.
+``parallel_map`` pool worker, a 2-shard fleet (its shards and its
+shared-cache manager) and the shared-cache manager. Without a watch, an
+orphaned fork pool worker blocks on its call queue forever, holding
+every inherited descriptor.
 """
 
 import os
@@ -37,14 +37,6 @@ def report():
 #: parks until the test kills it. Owners keep references to what they
 #: started: a dropped pool shuts its workers down on its own.
 OWNERS = {
-    "executor": ("""
-from repro.serving.executors import ProcessDetectorExecutor
-
-executor = ProcessDetectorExecutor()
-executor._ensure_pool().submit(os.getpid).result()
-report()
-time.sleep(60)
-""", 1),
     "parallel_map": ("""
 from repro.experiments.parallel import parallel_map
 from tests.test_parallel_procs import park

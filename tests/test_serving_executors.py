@@ -1,18 +1,17 @@
-"""Detector executors (repro.serving.executors) and batch pipelining.
+"""Detector executors (repro.serving.executors) and off-loop dispatch.
 
 The acceptance bar extends serving's: executors change *where* a fused
-``detect_batch`` runs — inline on the loop, on a worker thread, in a
-worker process — never *what* it computes. Every registered search
-method must produce traces element-wise identical to solo ``engine.run``
-under every executor; the lifecycle contract (drain/shutdown settle
-in-flight detect futures before an owned pool is released), the
-``pipeline_depth`` bound with its deferred-batch back-pressure, and the
-assembly-time cache-hit attribution snapshot are each pinned here.
+``detect_batch`` runs — inline on the loop or on a worker thread — never
+*what* it computes. Every registered search method must produce traces
+element-wise identical to solo ``engine.run`` under every executor; the
+lifecycle contract (drain/shutdown settle in-flight detect futures
+before an owned pool is released), the hand-off of every batch to the
+executor at assembly, and the assembly-time cache-hit attribution
+snapshot are each pinned here.
 
-CI runs this module under the fork, spawn and forkserver start methods
-(``REPRO_MP_CONTEXT``) and once more under ``PYTHONASYNCIODEBUG=1``; as
-everywhere in the serving suites, each test drives a private loop via
-``asyncio.run``.
+CI runs this module in tier-1 and once more under
+``PYTHONASYNCIODEBUG=1``; as everywhere in the serving suites, each test
+drives a private loop via ``asyncio.run``.
 """
 
 import asyncio
@@ -21,7 +20,7 @@ import threading
 import pytest
 
 from repro.core.registry import SEARCH_METHODS
-from repro.errors import ConfigError, QueryError
+from repro.errors import ConfigError
 from repro.query.engine import QueryEngine
 from repro.query.query import DistinctObjectQuery
 from repro.serving import (
@@ -29,12 +28,9 @@ from repro.serving import (
     ServerConfig,
     load_executor,
     make_executor,
-    register_executor,
 )
 from repro.serving.executors import (
-    DETECTOR_EXECUTORS,
     InlineDetectorExecutor,
-    ProcessDetectorExecutor,
     ThreadDetectorExecutor,
     validate_executor_spec,
 )
@@ -67,13 +63,6 @@ def thread_exec():
 
 
 @pytest.fixture(scope="module")
-def process_exec():
-    executor = ProcessDetectorExecutor()
-    yield executor
-    executor.close()
-
-
-@pytest.fixture(scope="module")
 def solo_outcomes():
     engine = fresh_engine()
     return {
@@ -85,7 +74,7 @@ def solo_outcomes():
 class _GatedDetector:
     """Delegates to a real detector, but ``detect_batch`` blocks until
     released — the off-loop batch is provably *in flight* while the test
-    pokes at drain/shutdown/back-pressure from the loop side."""
+    pokes at drain/shutdown/dispatch from the loop side."""
 
     def __init__(self, inner):
         self._inner = inner
@@ -127,20 +116,17 @@ async def _wait_until(predicate, timeout=10.0):
 
 
 # ---------------------------------------------------------------------------
-# The registry and spec strings.
+# Spec strings.
 # ---------------------------------------------------------------------------
 
 
-class TestRegistryAndSpecs:
+class TestSpecs:
     def test_make_executor_resolves_specs(self):
         assert isinstance(make_executor(None), InlineDetectorExecutor)
         assert isinstance(make_executor("inline"), InlineDetectorExecutor)
         thread = make_executor("thread:3")
         assert isinstance(thread, ThreadDetectorExecutor)
         assert thread.max_workers == 3
-        sized = make_executor("process:2")
-        assert isinstance(sized, ProcessDetectorExecutor)
-        assert sized.max_workers == 2
 
     def test_instances_pass_through_unwrapped(self, thread_exec):
         assert make_executor(thread_exec) is thread_exec
@@ -152,40 +138,25 @@ class TestRegistryAndSpecs:
             make_executor("inline:2")
         with pytest.raises(ConfigError, match="worker count"):
             make_executor("thread:lots")
-        with pytest.raises(ConfigError, match="worker count"):
-            make_executor("process:sideways")
         with pytest.raises(ConfigError, match="executor must be"):
             validate_executor_spec(42)
         with pytest.raises(ConfigError, match="max_workers"):
             ThreadDetectorExecutor(max_workers=0)
+        # An unknown name gets one line naming every accepted spec.
+        for spec in ("process", "process:2"):
+            with pytest.raises(
+                ConfigError,
+                match="unknown detector executor 'process' "
+                "\\(accepted: None, 'inline', 'thread', 'thread:N' or a "
+                "DetectorExecutor instance\\)",
+            ):
+                ServerConfig(executor=spec)
 
     def test_server_config_validates_at_construction(self):
         with pytest.raises(ConfigError, match="unknown detector executor"):
             ServerConfig(executor="gpu")
-        with pytest.raises(QueryError, match="pipeline_depth"):
-            ServerConfig(pipeline_depth=0)
-
-    def test_register_executor_plugin_point(self):
-        """The documented GPU/ONNX seam: register a factory, resolve it
-        everywhere a spec string is accepted."""
-
-        class AcceleratorExecutor(ThreadDetectorExecutor):
-            name = "accelerated"
-
-        register_executor(
-            "accelerated", lambda arg=None: AcceleratorExecutor()
-        )
-        try:
-            assert isinstance(
-                make_executor("accelerated"), AcceleratorExecutor
-            )
-            ServerConfig(executor="accelerated")  # validates
-            with pytest.raises(ConfigError, match="already registered"):
-                register_executor(
-                    "accelerated", lambda arg=None: AcceleratorExecutor()
-                )
-        finally:
-            del DETECTOR_EXECUTORS["accelerated"]
+        with pytest.raises(TypeError, match="pipeline_depth"):
+            ServerConfig(pipeline_depth=2)
 
     def test_fleet_configs_require_spec_strings(self):
         with pytest.raises(ConfigError, match="spec string"):
@@ -203,10 +174,13 @@ class TestRegistryAndSpecs:
         bare = tmp_path / "bare.json"
         bare.write_text('[{"object": "car", "limit": 2}]')
         assert load_executor(bare) is None
-        bad = tmp_path / "bad.json"
-        bad.write_text('{"executor": "warp", "queries": []}')
-        with pytest.raises(ConfigError, match="unknown detector executor"):
-            load_executor(bad)
+        for spec in ("warp", "process"):
+            bad = tmp_path / f"{spec}.json"
+            bad.write_text(f'{{"executor": "{spec}", "queries": []}}')
+            with pytest.raises(
+                ConfigError, match=f"unknown detector executor '{spec}'"
+            ):
+                load_executor(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +200,11 @@ class TestExecutorIdentity:
         )
         return engine, outcomes
 
-    @pytest.mark.parametrize("mode", ["inline", "thread", "process"])
+    @pytest.mark.parametrize("mode", ["inline", "thread"])
     def test_every_method_identical_to_solo(
-        self, mode, thread_exec, process_exec, solo_outcomes
+        self, mode, thread_exec, solo_outcomes
     ):
-        executor = {
-            "inline": "inline",
-            "thread": thread_exec,
-            "process": process_exec,
-        }[mode]
+        executor = {"inline": "inline", "thread": thread_exec}[mode]
         engine, outcomes = self._run_all_methods(executor)
         for method, outcome in zip(METHODS, outcomes, strict=True):
             assert_traces_identical(
@@ -244,37 +214,15 @@ class TestExecutorIdentity:
             # The work genuinely went through the off-loop path.
             assert engine.detector.detect_calls > 0
 
-    @pytest.mark.parametrize("start_method", ["spawn", "forkserver"])
-    def test_spawned_process_executor_identical(
-        self, solo_outcomes, start_method, monkeypatch
-    ):
-        """spawn and forkserver workers exercise pickling of the full task
-        envelope (fork can lean on inherited memory; they cannot)."""
-        monkeypatch.setenv("REPRO_MP_CONTEXT", start_method)
-        engine = fresh_engine()
-        outcomes = engine.run_many(
-            [QUERY] * 2,
-            method=["exsample", "random"],
-            run_seeds=[METHODS.index("exsample"), METHODS.index("random")],
-            batch_size=4,
-            server_config=ServerConfig(executor="process"),
-        )
-        assert_traces_identical(
-            outcomes[0].trace, solo_outcomes["exsample"].trace
-        )
-        assert_traces_identical(
-            outcomes[1].trace, solo_outcomes["random"].trace
-        )
-
     def test_pipelined_capacity_splits_identical(self, thread_exec):
-        """Small batch cap + depth-1 pipeline: flushes split, batches
-        defer, and none of it shows in the traces."""
+        """Small batch cap: flushes split into several off-loop batches,
+        and none of it shows in the traces."""
         engine = fresh_engine()
         outcomes = engine.run_many(
             [QUERY] * 4,
             batch_size=4,
             server_config=ServerConfig(
-                executor=thread_exec, max_batch_size=8, pipeline_depth=1
+                executor=thread_exec, max_batch_size=8
             ),
         )
         reference = fresh_engine()
@@ -381,12 +329,12 @@ class TestLifecycle:
 
 
 # ---------------------------------------------------------------------------
-# Back-pressure and the assembly-time attribution snapshot.
+# Dispatch at assembly and the assembly-time attribution snapshot.
 # ---------------------------------------------------------------------------
 
 
 class TestPipelining:
-    def test_pipeline_depth_bounds_in_flight_and_defers(self):
+    def test_capacity_split_batches_dispatch_at_assembly(self):
         engine = fresh_engine()
         gated = _GatedDetector(engine.detector)
         executor = ThreadDetectorExecutor(max_workers=4)
@@ -397,7 +345,6 @@ class TestPipelining:
                 max_batch_size=2,
                 flush_latency=0.001,
                 executor=executor,
-                pipeline_depth=1,
             )
             env = engine.environment("car", run_seed=0)
             requests = [
@@ -405,7 +352,8 @@ class TestPipelining:
                 for i in range(4)
             ]
             # Each request alone reaches the 2-frame cap: four
-            # single-request batches. Depth 1 admits one; three defer.
+            # single-request batches, each handed to the executor the
+            # moment it is assembled, none waiting for another to land.
             tasks = [
                 asyncio.create_task(
                     batcher.detect(gated, request, _Handle(seq=i))
@@ -413,16 +361,19 @@ class TestPipelining:
                 for i, request in enumerate(requests)
             ]
             await _wait_event(gated.entered)
-            await asyncio.sleep(0.02)
-            assert batcher.stats.peak_in_flight == 1
-            assert batcher.stats.deferred_batches == 3
+            await _wait_until(
+                lambda: batcher.stats.dispatched_batches == 4
+            )
+            assert batcher.stats.peak_in_flight == 4
+            assert batcher.stats.detector_calls == 0  # all still gated
             gated.release.set()
             results = await asyncio.gather(*tasks)
             await batcher.settle()
             assert batcher.stats.dispatched_batches == 4
-            assert batcher.stats.peak_in_flight == 1
+            assert batcher.stats.peak_in_flight == 4
             assert batcher.stats.detector_calls == 4
-            # Deferral reordered nothing: each future got its own frames.
+            # Concurrent dispatch reordered nothing: each future got its
+            # own frames.
             reference = fresh_engine().environment("car", run_seed=0)
             for request, result in zip(requests, results, strict=True):
                 expected = reference.detect_request(
@@ -449,7 +400,6 @@ class TestPipelining:
                 max_batch_size=2,
                 flush_latency=0.001,
                 executor=executor,
-                pipeline_depth=2,
             )
             env = engine.environment("car", run_seed=0)
             picks = [(0, 0), (0, 1)]
