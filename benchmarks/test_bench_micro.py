@@ -354,14 +354,18 @@ def test_detection_cache_sweep_speedup():
 
 
 def test_vectorized_detector_speedup():
-    """The whole-frame numpy detector must beat the per-instance loop >= 2x.
+    """The vectorised detector must beat the per-instance loop >= 2x.
 
     The reference below is the historical per-instance implementation
     (one miss draw, one jitter, one score per instance, each via its own
     generator call, with three intermediate BoundingBox objects per
-    detection); the product path generates whole frames from flat arrays.
-    Both run on a deliberately dense world (~20 visible instances per
-    frame) where the inner loop is the cost that matters — the regime the
+    detection). The product path runs the whole 512-frame call as one
+    pass: visibility for every frame is one lookup in the world's
+    segment table, ground-truth boxes and miss probabilities are flat
+    arrays over all visible instances, the per-frame loop only draws, and
+    jitter, clipping and object construction run once after it. Both run
+    on a deliberately dense world (~20 visible instances per frame) where
+    the inner loop is the cost that matters — the regime the
     vectorisation exists for. The reference consumes the per-frame stream
     in a different order, so only counts are compared, not bytes (the
     per-frame streams themselves are identical).

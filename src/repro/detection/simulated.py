@@ -27,17 +27,29 @@ processed by the detector").
 Vectorised generation
 ---------------------
 
-A frame's detections are generated with whole-frame numpy expressions (one
-miss draw, one jitter draw, one score draw per frame instead of one per
-instance). The per-frame RNG stream is still keyed on
-``(seed, video, frame)``, so determinism and batching-invariance are
-untouched; the *order* of draws within a frame differs from the historical
-per-instance loop, so per-seed outputs differ from pre-vectorisation
-releases while remaining draws from exactly the same distributions (each
-instance's miss/jitter/score variates are i.i.d. across instances, so
-drawing them as one vector instead of interleaved per instance is a pure
-reordering of independent samples). In-repo benchmark artifacts were
-regenerated accordingly.
+A call generates all of its frames in one pass, whichever videos they
+belong to. :meth:`~repro.video.SyntheticWorld.visible_at` finds the
+instances visible at every ``(video, frame)`` pair with one
+``searchsorted`` into the world's segment table, and the ground-truth
+boxes and miss probabilities of all of them are computed in flat arrays.
+Only the random draws stay in the per-frame loop: each frame re-keys a
+shared generator on ``(seed, video, frame)`` and draws, in order, one
+uniform per visible instance (the miss test), a 4-vector of jitter and a
+score per kept instance, the Poisson false-positive count and the false
+positives' own variates. After the loop the requested class is selected,
+its rows are jittered and clipped to their frames in one pass, and only
+then are :class:`~repro.detection.detections.Detection` objects built.
+Since every draw is keyed per frame and consumed in a fixed order, no
+output depends on how frames are grouped into calls (``detect`` and
+``detect_batch`` agree exactly) or on the class filter.
+
+The draw order differs from the historical per-instance loop (one miss,
+jitter and score draw per instance, interleaved), so per-seed outputs
+differ from pre-vectorisation releases while remaining draws from exactly
+the same distributions: each instance's variates are i.i.d. across
+instances, so drawing them as vectors is a pure reordering of independent
+samples. Later rewrites of the kernel kept every output byte for byte;
+``tests/test_golden_traces.py`` pins digests of the detector's output.
 """
 
 from __future__ import annotations
@@ -55,6 +67,11 @@ from repro.utils.rng import TransientRng, digest_keys
 from repro.video.geometry import BoundingBox
 from repro.video.synthetic import SyntheticWorld
 
+#: Lower clipping bound of every box corner.
+_ORIGIN = np.zeros(4)
+#: Jitter noise column and (x, y) scale column per box corner.
+_NOISE_COLUMNS = np.array([0, 2, 1, 3])
+_SCALE_COLUMNS = np.array([0, 1, 0, 1])
 
 @dataclass(frozen=True)
 class DetectorProfile:
@@ -117,8 +134,11 @@ class SimulatedDetector:
     :class:`~repro.utils.rng.TransientRng` — streams stay keyed purely on
     ``(seed, video, frame)``, so which thread detects a frame can never
     change its output — and the invocation counters are lock-guarded.
+    The world's visibility table is built lazily, on the first call that
+    needs it, without a lock: two threads that race build equal tables.
     Session checkpoints embed the detector, so it pickles without the
-    lock and the thread-local, and recreates both on restore.
+    lock and the thread-local, and recreates both on restore (the world
+    sheds its table when pickled by value).
 
     This class is also the seam for a *real* detector backend (GPU/ONNX,
     an EKO-style compressed-video model): any object with the same
@@ -151,7 +171,7 @@ class SimulatedDetector:
         self._scope: Optional[str] = None
         # Per-frame streams are keyed on (seed, video, frame); a
         # TransientRng skips per-call generator construction, and the rng
-        # never escapes _generate_frames. The instance is per-thread
+        # never escapes _generate. The instance is per-thread
         # (detect_batch may run on executor worker threads) — keying is
         # purely digest-driven, so every thread's streams are identical.
         self._rng_local = threading.local()
@@ -225,12 +245,12 @@ class SimulatedDetector:
         self._charge(1)
         cache = self.cache
         if cache is None:
-            return self._detect_filtered(video, frame, class_filter)
+            return self._generate([video], [frame], class_filter)[0]
         key = (self.cache_scope(), video, frame, class_filter)
         hit = cache.get(key)
         if hit is not None:
             return hit
-        detections = self._detect_filtered(video, frame, class_filter)
+        detections = self._generate([video], [frame], class_filter)[0]
         cache.put(key, detections)
         return detections
 
@@ -245,74 +265,50 @@ class SimulatedDetector:
         Returns one detection list per ``(video, frame)`` pair, identical
         to calling :meth:`detect` per frame — the per-frame rng streams are
         keyed on ``(seed, video, frame)``, so batching cannot change any
-        output. One Python call amortises the per-invocation overhead the
-        batched sampler exists to avoid.
+        output. Every frame the call generates, across all its videos,
+        goes through one vectorised pass (see the module docstring).
         """
         if len(videos) != len(frames):
             raise ConfigError("videos and frames must align")
         n = len(frames)
         self._charge(n)
         cache = self.cache
-        out: List[Optional[List[Detection]]] = [None] * n
         if cache is None:
-            # Grouped by video so the whole-group geometry resolves in
-            # flat numpy arrays.
-            todo_by_video: dict[int, List[int]] = {}
-            for i, video in enumerate(videos):
-                todo_by_video.setdefault(int(video), []).append(i)
-            for video, indices in todo_by_video.items():
-                frame_list = [int(frames[i]) for i in indices]
-                generated = self._generate_frames(video, frame_list)
-                for i, detections in zip(indices, generated, strict=True):
-                    if class_filter is not None:
-                        detections = [
-                            d for d in detections if d.class_name == class_filter
-                        ]
-                    out[i] = detections
-        else:
-            # One cache lookup — and at most one generation — per distinct
-            # (video, frame): duplicate picks within the batch share the
-            # generated result instead of re-generating (and re-counting a
-            # miss) per occurrence. The stored key is namespaced with this
-            # detector's identity (one cache may serve several
-            # detectors); grouping below stays on the plain key.
-            scope = self.cache_scope()
-            pending: dict[tuple, List[int]] = {}
-            for i, (video, frame) in enumerate(zip(videos, frames, strict=True)):
-                key = (int(video), int(frame), class_filter)
-                indices = pending.get(key)
-                if indices is not None:
-                    indices.append(i)
-                    continue
-                hit = cache.get((scope,) + key)
-                if hit is None:
-                    pending[key] = [i]
-                else:
-                    out[i] = hit
-            by_video: dict[int, List[tuple]] = {}
-            for key in pending:
-                by_video.setdefault(key[0], []).append(key)
-            for video, keys in by_video.items():
-                generated = self._generate_frames(video, [k[1] for k in keys])
-                for key, detections in zip(keys, generated, strict=True):
-                    if class_filter is not None:
-                        detections = [
-                            d for d in detections if d.class_name == class_filter
-                        ]
-                    cache.put((scope,) + key, detections)
-                    indices = pending[key]
-                    out[indices[0]] = detections
-                    for extra in indices[1:]:
-                        out[extra] = list(detections)
+            return self._generate(
+                [int(v) for v in videos], [int(f) for f in frames], class_filter
+            )
+        # One cache lookup — and at most one generation — per distinct
+        # (video, frame): duplicate picks within the batch share the
+        # generated result instead of re-generating (and re-counting a
+        # miss) per occurrence. Keys are namespaced with this detector's
+        # identity (one cache may serve several detectors).
+        out: List[Optional[List[Detection]]] = [None] * n
+        scope = self.cache_scope()
+        lookup = cache.get
+        pending: dict[tuple, List[int]] = {}
+        for i, (video, frame) in enumerate(zip(videos, frames, strict=True)):
+            key = (scope, int(video), int(frame), class_filter)
+            indices = pending.get(key)
+            if indices is not None:
+                indices.append(i)
+                continue
+            hit = lookup(key)
+            if hit is None:
+                pending[key] = [i]
+            else:
+                out[i] = hit
+        if pending:
+            keys = list(pending)
+            generated = self._generate(
+                [k[1] for k in keys], [k[2] for k in keys], class_filter
+            )
+            for key, detections in zip(keys, generated, strict=True):
+                cache.put(key, detections)
+                indices = pending[key]
+                out[indices[0]] = detections
+                for extra in indices[1:]:
+                    out[extra] = list(detections)
         return out  # type: ignore[return-value]
-
-    def _detect_filtered(
-        self, video: int, frame: int, class_filter: Optional[str]
-    ) -> List[Detection]:
-        detections = self._generate_frames(video, [frame])[0]
-        if class_filter is not None:
-            detections = [d for d in detections if d.class_name == class_filter]
-        return detections
 
     # -- internals ---------------------------------------------------------
 
@@ -327,103 +323,128 @@ class SimulatedDetector:
         smallness = max(0.0, 1.0 - side / profile.reference_size)
         return min(profile.miss_rate + profile.small_box_penalty * smallness, 0.95)
 
-    def _generate_frames(
-        self, video: int, frame_list: List[int]
+    def _generate(
+        self,
+        videos: Sequence[int],
+        frames: Sequence[int],
+        class_filter: Optional[str],
     ) -> List[List[Detection]]:
-        """Generate (unfiltered) detections for many frames of one video.
+        """Detections of ``class_filter`` (every class if ``None``) per pair.
 
-        The expensive geometry — ground-truth boxes at each frame, miss
-        probabilities, jitter scales — is computed once for the whole group
-        in flat ``(frame, instance)`` arrays. Randomness stays strictly
-        per-frame: each frame re-keys the shared generator on
-        ``(seed, video, frame)`` and draws its miss/jitter/score vectors
-        from that stream, so outputs are independent of how frames are
-        grouped into calls (``detect`` and ``detect_batch`` agree exactly).
-        Per frame, instances appear in uid-index order, the same order the
-        historical per-instance loop used.
+        The geometry — visible instances, their ground-truth boxes and
+        miss probabilities — is computed once for all pairs in flat
+        arrays, one row per visible instance, pairs in order. The loop
+        then walks the pairs and only draws: re-key on
+        ``(seed, video, frame)``, miss uniforms, jitter and scores for the
+        kept rows, the false-positive count and variates. After it, the
+        requested class is selected from the kept rows, which are jittered
+        and clipped to their frames in one pass and become objects.
+        Within a pair, detections follow ``visible_at`` order, false
+        positives last.
         """
         world = self.world
         profile = self.profile
-        meta = world.repository.videos[video]
-        width, height = float(meta.width), float(meta.height)
-        frames_arr = np.asarray(frame_list, dtype=np.int64)
-        uids_flat, counts_arr = world.visible_uids_batch(video, frames_arr)
-        counts = counts_arr.tolist()
-        if uids_flat.size:
-            arrays = world.instance_arrays()
-            names = arrays.class_names
-            frames_flat = np.repeat(frames_arr, counts_arr)
-            boxes_flat = world.boxes_at(uids_flat, frames_flat)
-            widths_flat = boxes_flat[:, 2] - boxes_flat[:, 0]
-            heights_flat = boxes_flat[:, 3] - boxes_flat[:, 1]
-            side = np.sqrt(np.maximum(widths_flat * heights_flat, 1.0))
+        # Stream bases and frame bounds per video, in order of first use.
+        bases = {}
+        bounds = {}
+        for video in dict.fromkeys(videos):
+            meta = world.repository.videos[video]
+            width, height = float(meta.width), float(meta.height)
+            bases[video] = digest_keys(self.seed, "detect", video)
+            bounds[video] = (width, height, width, height)
+        uids, counts = world.visible_at(videos, frames)
+        if uids.size:  # boxes, sizes and miss_p are read only for visible rows
+            boxes = world.boxes_at(
+                uids, np.asarray(frames, dtype=np.int64).repeat(counts)
+            )
+            sizes = boxes[:, 2:] - boxes[:, :2]
+            side = np.sqrt(np.maximum(sizes[:, 0] * sizes[:, 1], 1.0))
             smallness = np.maximum(0.0, 1.0 - side / profile.reference_size)
-            miss_p_flat = np.minimum(
+            miss_p = np.minimum(
                 profile.miss_rate + profile.small_box_penalty * smallness, 0.95
             )
-            sig_x_flat = profile.jitter * np.maximum(widths_flat, 1.0)
-            sig_y_flat = profile.jitter * np.maximum(heights_flat, 1.0)
-            codes_flat = arrays.class_codes[uids_flat]
-            box_lower = np.zeros(4)
-            box_upper = np.array([width, height, width, height])
-        base_digest = digest_keys(self.seed, "detect", video)
+
         seeded_offset = self._frame_rng.seeded_offset
         jitter = profile.jitter
         score_a, score_b = profile.score_tp
-        has_fps = profile.false_positives_per_frame > 0
-        out: List[List[Detection]] = []
-        offset = 0
-        for frame, count in zip(frame_list, counts, strict=True):
-            rng = seeded_offset(base_digest, frame)
-            detections: List[Detection] = []
+        fp_rate = profile.false_positives_per_frame
+        keep = np.empty(uids.size, dtype=bool)
+        noise_parts: List[np.ndarray] = []
+        score_parts: List[np.ndarray] = []
+        false_positives: List[tuple] = []
+        end = 0
+        for i, (video, frame, count) in enumerate(
+            zip(videos, frames, counts.tolist(), strict=True)
+        ):
+            rng = seeded_offset(bases[video], frame)
             if count:
-                sl = slice(offset, offset + count)
-                offset += count
-                keep = rng.random(count) >= miss_p_flat[sl]
-                if keep.any():
-                    kept = boxes_flat[sl][keep]
+                start, end = end, end + count
+                kept = np.count_nonzero(
+                    np.greater_equal(
+                        rng.random(count), miss_p[start:end], out=keep[start:end]
+                    )
+                )
+                if kept:
                     if jitter > 0:
-                        noise = rng.normal(0.0, 1.0, size=(len(kept), 4))
-                        dx = noise[:, 0:2] * sig_x_flat[sl][keep][:, None]
-                        dy = noise[:, 2:4] * sig_y_flat[sl][keep][:, None]
-                        x_a = kept[:, 0] + dx[:, 0]
-                        x_b = kept[:, 2] + dx[:, 1]
-                        y_a = kept[:, 1] + dy[:, 0]
-                        y_b = kept[:, 3] + dy[:, 1]
-                        kept = np.empty((len(x_a), 4))
-                        np.minimum(x_a, x_b, out=kept[:, 0])
-                        np.minimum(y_a, y_b, out=kept[:, 1])
-                        np.maximum(x_a, x_b, out=kept[:, 2])
-                        np.maximum(y_a, y_b, out=kept[:, 3])
-                    np.minimum(kept, box_upper, out=kept)
-                    np.maximum(kept, box_lower, out=kept)
-                    scores = rng.beta(score_a, score_b, size=len(kept))
-                    detections.extend(
-                        Detection(
-                            video=video,
-                            frame=frame,
-                            box=BoundingBox(x1, y1, x2, y2),
-                            class_name=names[code],
-                            score=score,
-                            instance_uid=uid,
-                        )
-                        for (x1, y1, x2, y2), code, score, uid in zip(
-                            kept.tolist(),
-                            codes_flat[sl][keep].tolist(),
-                            scores.tolist(),
-                            uids_flat[sl][keep].tolist(),
-                            strict=True,
-                        )
-                    )
-            if has_fps:
-                fp_count = int(rng.poisson(profile.false_positives_per_frame))
+                        noise_parts.append(rng.normal(0.0, 1.0, size=(kept, 4)))
+                    score_parts.append(rng.beta(score_a, score_b, size=kept))
+            if fp_rate > 0:
+                fp_count = int(rng.poisson(fp_rate))
                 if fp_count:
-                    detections.extend(
-                        self._false_positives(
-                            video, frame, rng, fp_count, width, height
-                        )
+                    width, height = bounds[video][:2]
+                    spurious = self._false_positives(video, frame, rng, fp_count, width, height)
+                    false_positives.append((i, spurious))
+
+        out: List[List[Detection]] = [[] for _ in frames]
+        arrays = world.instance_arrays()
+        names = arrays.class_names
+        rows = keep.nonzero()[0]
+        codes = arrays.class_codes[uids[rows]]
+        chosen = slice(None)
+        if class_filter is not None:
+            chosen = codes == (
+                names.index(class_filter) if class_filter in names else -1
+            )
+            rows, codes = rows[chosen], codes[chosen]
+        if rows.size:
+            scores = np.concatenate(score_parts)[chosen]
+            picked = boxes[rows]
+            if jitter > 0:
+                # Corners are x1, y1, x2, y2: x1 and x2 move by noise
+                # columns 0 and 1 times the x scale, y1 and y2 by columns
+                # 2 and 3 times the y scale.
+                noise = np.concatenate(noise_parts)[chosen]
+                scale = jitter * np.maximum(sizes[rows], 1.0)
+                moved = picked + noise[:, _NOISE_COLUMNS] * scale[:, _SCALE_COLUMNS]
+                np.minimum(moved[:, :2], moved[:, 2:], out=picked[:, :2])
+                np.maximum(moved[:, :2], moved[:, 2:], out=picked[:, 2:])
+            pair_of_row = counts.cumsum().searchsorted(rows, side="right")
+            upper = np.array([bounds[video] for video in videos])
+            np.minimum(picked, upper[pair_of_row], out=picked)
+            np.maximum(picked, _ORIGIN, out=picked)
+            for pair, (x1, y1, x2, y2), code, score, uid in zip(
+                pair_of_row.tolist(),
+                picked.tolist(),
+                codes.tolist(),
+                scores.tolist(),
+                uids[rows].tolist(),
+                strict=True,
+            ):
+                out[pair].append(
+                    Detection(
+                        videos[pair],
+                        frames[pair],
+                        BoundingBox(x1, y1, x2, y2),
+                        names[code],
+                        score,
+                        uid,
                     )
-            out.append(detections)
+                )
+        for pair, spurious in false_positives:
+            out[pair].extend(
+                d for d in spurious
+                if class_filter is None or d.class_name == class_filter
+            )
         return out
 
     def _false_positives(

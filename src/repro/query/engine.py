@@ -289,17 +289,22 @@ class VideoSearchEnvironment:
             )
         if not request.picks:
             return []
+        # A frame without detections leaves the discriminator untouched
+        # and observes nothing new, so only the others are matched.
+        busy = [i for i, detections in enumerate(detection_lists) if detections]
         matches = self.discriminator.observe_full_batch(
-            request.videos, request.frames, list(detection_lists)
+            [request.videos[i] for i in busy],
+            [request.frames[i] for i in busy],
+            [detection_lists[i] for i in busy],
         )
-        make_observation = self._observation_from
-        return [
-            make_observation(chunk, video, vframe, match, cost)
-            for (chunk, _), video, vframe, match, cost in zip(
-                request.picks, request.videos, request.frames, matches,
-                request.context, strict=True,
+        costs = request.context
+        observations = [Observation(0, 0, [], cost, []) for cost in costs]
+        for i, match in zip(busy, matches, strict=True):
+            observations[i] = self._observation_from(
+                request.picks[i][0], request.videos[i], request.frames[i],
+                match, costs[i],
             )
-        ]
+        return observations
 
     def _observation_from(
         self, chunk: int, video: int, vframe: int, match, cost: float

@@ -95,13 +95,11 @@ class _TrackColumns:
     def active(self, frame: int) -> np.ndarray:
         """Row indices of tracks covering ``frame``."""
         n = self.size
-        return np.flatnonzero(
-            (self.starts[:n] <= frame) & (frame < self.ends[:n])
-        )
+        return ((self.starts[:n] <= frame) & (frame < self.ends[:n])).nonzero()[0]
 
     def boxes_at(self, rows: np.ndarray, frame: int) -> np.ndarray:
         """Tracked boxes (len(rows), 4) at ``frame``."""
-        t = np.clip((frame - self.t0[rows]) / self.denom[rows], 0.0, 1.0)
+        t = np.minimum(np.maximum((frame - self.t0[rows]) / self.denom[rows], 0.0), 1.0)
         return self.entry[rows] + self.delta[rows] * t[:, None]
 
 

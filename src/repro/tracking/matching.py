@@ -24,11 +24,10 @@ def greedy_match(
     work = iou.copy()
     pairs: List[Tuple[int, int]] = []
     while work.size:
-        flat = int(np.argmax(work))
-        row, col = np.unravel_index(flat, work.shape)
+        row, col = divmod(int(work.argmax()), work.shape[1])
         if work[row, col] < threshold:
             break
-        pairs.append((int(row), int(col)))
+        pairs.append((row, col))
         work[row, :] = -1.0
         work[:, col] = -1.0
     return pairs

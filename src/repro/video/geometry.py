@@ -112,14 +112,16 @@ def iou_matrix(boxes_a: np.ndarray, boxes_b: np.ndarray) -> np.ndarray:
     """Pairwise IoU between two (N, 4) and (M, 4) arrays of xyxy boxes."""
     boxes_a = np.asarray(boxes_a, dtype=float).reshape(-1, 4)
     boxes_b = np.asarray(boxes_b, dtype=float).reshape(-1, 4)
-    ix1 = np.maximum(boxes_a[:, None, 0], boxes_b[None, :, 0])
-    iy1 = np.maximum(boxes_a[:, None, 1], boxes_b[None, :, 1])
-    ix2 = np.minimum(boxes_a[:, None, 2], boxes_b[None, :, 2])
-    iy2 = np.minimum(boxes_a[:, None, 3], boxes_b[None, :, 3])
-    inter = np.clip(ix2 - ix1, 0, None) * np.clip(iy2 - iy1, 0, None)
-    area_a = (boxes_a[:, 2] - boxes_a[:, 0]) * (boxes_a[:, 3] - boxes_a[:, 1])
-    area_b = (boxes_b[:, 2] - boxes_b[:, 0]) * (boxes_b[:, 3] - boxes_b[:, 1])
-    union = area_a[:, None] + area_b[None, :] - inter
-    with np.errstate(divide="ignore", invalid="ignore"):
-        iou = np.where(union > 0, inter / union, 0.0)
-    return iou
+    # Intersection corners (x1, y1) and (x2, y2), then its clipped sides.
+    low = np.maximum(boxes_a[:, None, :2], boxes_b[None, :, :2])
+    high = np.minimum(boxes_a[:, None, 2:], boxes_b[None, :, 2:])
+    sides = np.maximum(high - low, 0.0)
+    inter = sides[..., 0] * sides[..., 1]
+    size_a = boxes_a[:, 2:] - boxes_a[:, :2]
+    size_b = boxes_b[:, 2:] - boxes_b[:, :2]
+    union = (
+        (size_a[:, 0] * size_a[:, 1])[:, None]
+        + (size_b[:, 0] * size_b[:, 1])[None, :]
+        - inter
+    )
+    return np.divide(inter, union, out=np.zeros_like(inter), where=union > 0)

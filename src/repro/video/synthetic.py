@@ -37,10 +37,9 @@ from repro.video.video import Video, VideoRepository
 
 _Z_95 = 1.959963984540054
 
-#: Largest frames × instances product resolved via one broadcast interval
-#: test in :meth:`SyntheticWorld.visible_uids_batch`; bigger products walk
-#: the per-frame index instead to bound memory.
-_VISIBILITY_MASK_BUDGET = 4_000_000
+#: Visibility keys are ``(video << _FRAME_BITS) + frame``: frames of one
+#: video stay inside its key range while ``|frame| < 2**40``.
+_FRAME_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -214,6 +213,7 @@ class SyntheticWorld:
         self._videos_col: "np.ndarray | None" = None
         self._global_starts_col: "np.ndarray | None" = None
         self._content_digest: "bytes | None" = None
+        self._visibility: "Tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
         self._by_class: "Dict[str, List[int]] | None" = {}
         for idx, inst in enumerate(instances):
             if idx != inst.uid:
@@ -282,52 +282,80 @@ class SyntheticWorld:
     def visible_uids(self, video: int, frame: int) -> np.ndarray:
         """Uids of instances visible at (video, frame), as an int64 array.
 
-        The array-returning variant of :meth:`visible`: hot paths (the
-        vectorised detector) consume uids directly against
-        :meth:`instance_arrays` without materialising instance objects.
+        The one-pair :meth:`visible_at`: the array-returning variant of
+        :meth:`visible`, in ``_video_index`` order.
         """
-        index = self._video_index.get(video)
-        if index is None:
-            return np.empty(0, dtype=np.int64)
-        starts, ends, ids = index
-        hi = np.searchsorted(starts, frame, side="right")
-        active = ends[:hi] > frame
-        return ids[:hi][active]
+        return self.visible_at([video], [frame])[0]
 
-    def visible_uids_batch(
-        self, video: int, frames: np.ndarray
+    def visible_at(
+        self, videos: Sequence[int], frames: Sequence[int]
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Visibility for many frames of one video in one query.
+        """Visibility for many ``(video, frame)`` pairs in one query.
 
-        Returns ``(uids_flat, counts)``: the concatenation of
-        ``visible_uids(video, f)`` over ``frames`` (order preserved) and
-        the per-frame counts. Small workloads resolve through one
-        broadcast interval test; large ``frames × instances`` products
-        fall back to the per-frame index walk to bound memory.
+        Returns ``(uids_flat, counts)``: the uids visible at each pair,
+        concatenated pair by pair, and the per-pair counts. Within a pair,
+        uids come in ``_video_index`` order (by start frame, ties as that
+        index's sort left them), the order the detector assigns draws in.
+        Each pair is one ``searchsorted`` into the segment table (see
+        :meth:`_visibility_table`) plus a slice of its flat uid array.
+        Negative frames, frames outside every instance, frames past a
+        video's end and videos without instances see nothing.
         """
-        frames = np.asarray(frames, dtype=np.int64)
-        index = self._video_index.get(video)
-        if index is None or frames.size == 0:
-            return (
-                np.empty(0, dtype=np.int64),
-                np.zeros(frames.size, dtype=np.int64),
-            )
-        starts, ends, ids = index
-        if frames.size * starts.size <= _VISIBILITY_MASK_BUDGET:
-            mask = (starts[None, :] <= frames[:, None]) & (
-                frames[:, None] < ends[None, :]
-            )
-            rows, cols = np.nonzero(mask)
-            counts = np.bincount(rows, minlength=frames.size)
-            return ids[cols], counts
-        parts = [self.visible_uids(video, int(f)) for f in frames]
-        counts = np.fromiter(
-            (p.size for p in parts), dtype=np.int64, count=len(parts)
-        )
-        total = int(counts.sum())
-        if total == 0:
-            return np.empty(0, dtype=np.int64), counts
-        return np.concatenate([p for p in parts if p.size]), counts
+        keys, ptr, flat = self._visibility_table()
+        query = np.asarray(videos, dtype=np.int64) << _FRAME_BITS
+        query += np.asarray(frames, dtype=np.int64)
+        segment = keys.searchsorted(query, side="right")
+        lo = ptr[segment - 1]
+        counts = ptr[segment] - lo
+        # Gather the slices flat[lo[i]:lo[i] + counts[i]] in one take.
+        gather = (lo - counts.cumsum() + counts).repeat(counts)
+        gather += np.arange(gather.size)
+        return flat[gather], counts
+
+    def _visibility_table(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(keys, ptr, flat)``: the repository's visibility segments.
+
+        The instances visible in a video change only at frames where one
+        starts or ends, so each video splits into segments between those
+        boundaries. ``keys`` holds every boundary as
+        ``(video << 40) + frame``, ascending, behind a leading sentinel;
+        the uids visible from ``keys[s - 1]`` up to the next key are
+        ``flat[ptr[s - 1]:ptr[s]]``. A video's last boundary (its latest
+        end) and the sentinel open empty segments, so keys that fall
+        between videos, before the first or after the last see nothing.
+
+        Built lazily in one vectorised pass over ``_video_index``, whose
+        order it keeps: that index comes from an unstable ``argsort``, and
+        its order among equal starts is what assigns each detector draw
+        to an instance, so the build never re-sorts instances (the segment
+        sort below is stable). Two threads may both build it; they build
+        equal tables, and the last assignment wins.
+        """
+        table = self._visibility
+        if table is not None:
+            return table
+        # Every instance interval as keys, videos in _video_index order.
+        # The leading empty arrays leave an instance-less world with the
+        # sentinel segment alone.
+        starts, ends, ids = ([np.empty(0, dtype=np.int64)] for _ in range(3))
+        for video, (video_starts, video_ends, video_ids) in self._video_index.items():
+            shift = np.int64(video) << _FRAME_BITS
+            starts.append(video_starts + shift)
+            ends.append(video_ends + shift)
+            ids.append(video_ids)
+        starts, ends, ids = map(np.concatenate, (starts, ends, ids))
+        bounds = np.unique(np.concatenate([starts, ends]))
+        # Instance i is visible in segments first[i] .. first[i] + spans[i] - 1.
+        first = bounds.searchsorted(starts)
+        spans = bounds.searchsorted(ends) - first
+        segments = np.repeat(first - np.cumsum(spans) + spans, spans)
+        segments += np.arange(segments.size)
+        flat = np.repeat(ids, spans)[np.argsort(segments, kind="stable")]
+        ptr = np.zeros(bounds.size + 2, dtype=np.int64)
+        np.cumsum(np.bincount(segments, minlength=bounds.size), out=ptr[2:])
+        keys = np.concatenate([[np.iinfo(np.int64).min], bounds])
+        table = self._visibility = (keys, ptr, flat)
+        return table
 
     def instance_arrays(self) -> "InstanceArrays":
         """Columnar view of every instance, indexed by uid (cached).
@@ -441,15 +469,16 @@ class SyntheticWorld:
     def __getstate__(self) -> dict:
         """By-value pickling sheds derivable caches.
 
-        The ownership columns and lazily materialized instances are
-        rebuilt on demand; shipping them would double a checkpoint's
-        world payload for no information.
+        The ownership columns, the visibility table and lazily
+        materialized instances are rebuilt on demand; shipping them would
+        double a checkpoint's world payload for no information.
         """
         state = dict(self.__dict__)
         state["_lazy"] = None
         state["_arrays"] = None
         state["_videos_col"] = None
         state["_global_starts_col"] = None
+        state["_visibility"] = None
         return state
 
     def shared_columns(self) -> Tuple[Dict[str, np.ndarray], dict]:
@@ -563,6 +592,7 @@ class SyntheticWorld:
         world._videos_col = columns["videos"]
         world._global_starts_col = columns["global_starts"]
         world._content_digest = None
+        world._visibility = None
         world._arrays = InstanceArrays(
             starts=columns["starts"],
             ends=columns["ends"],

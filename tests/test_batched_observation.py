@@ -7,9 +7,13 @@ overhead optimisation: these tests pin the contract that it never changes a
 single observation.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from repro.detection.cache import DetectionCache
 from repro.detection.simulated import SimulatedDetector
 from repro.errors import ChunkingError, DatasetError
 from repro.query.cost import CostModel
@@ -114,16 +118,68 @@ class TestTemporalEnvironmentBatch:
         assert self._env().observe_batch([]) == []
 
 
+_FRAMES = list(range(0, 1200, 7))
+#: ``(videos, frames)`` call shapes over the tiny dataset's two
+#: 1200-frame videos.
+DETECT_SHAPES = {
+    "one-video": ([0] * len(_FRAMES), _FRAMES),
+    "interleaved": ([i % 2 for i in range(len(_FRAMES))], _FRAMES[::-1]),
+    "duplicated": ([0, 1, 0, 0, 1], [300, 300, 300, 301, 300]),
+    "out-of-range": ([0, 1, 1, 0], [-1, 1200, 5000, 600]),
+}
+
+
 class TestDetectorBatch:
-    def test_detect_batch_equals_per_frame(self, engine):
-        detector_a = SimulatedDetector(engine.dataset.world, seed=9)
-        detector_b = SimulatedDetector(engine.dataset.world, seed=9)
-        frames = list(range(0, 1200, 7))
-        videos = [0] * len(frames)
-        singles = [detector_a.detect(0, f, class_filter="car") for f in frames]
-        batched = detector_b.detect_batch(videos, frames, class_filter="car")
+    @pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+    @pytest.mark.parametrize("class_filter", ["bicycle", "car", "dog", None, "zebra"])
+    @pytest.mark.parametrize("shape", sorted(DETECT_SHAPES))
+    def test_detect_batch_equals_per_frame(self, engine, shape, class_filter, cached):
+        world = engine.dataset.world
+        assert world.class_names() == ["bicycle", "car", "dog"]
+        videos, frames = DETECT_SHAPES[shape]
+        detector_a = SimulatedDetector(world, seed=9)
+        detector_b = SimulatedDetector(
+            world, seed=9, cache=DetectionCache() if cached else None
+        )
+        singles = [
+            detector_a.detect(v, f, class_filter=class_filter)
+            for v, f in zip(videos, frames)
+        ]
+        batched = detector_b.detect_batch(videos, frames, class_filter=class_filter)
         assert singles == batched
         assert detector_a.frames_processed == detector_b.frames_processed
+        assert (detector_a.detect_calls, detector_b.detect_calls) == (len(frames), 1)
+
+    def test_threads_racing_the_lazy_table_agree(self):
+        """Threads that race to build a fresh world's visibility table
+        detect exactly what one thread detects, and every call counts."""
+        videos, frames = DETECT_SHAPES["interleaved"]
+        want = SimulatedDetector(make_tiny_dataset(seed=3).world, seed=9).detect_batch(
+            videos, frames
+        )
+        detector = SimulatedDetector(make_tiny_dataset(seed=3).world, seed=9)
+        workers = 6
+        barrier = threading.Barrier(workers)
+        results = [None] * workers
+
+        def work(k):
+            barrier.wait(timeout=10)
+            results[k] = detector.detect_batch(videos, frames)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert all(result == want for result in results)
+        assert detector.detect_calls == workers
+        assert detector.frames_processed == workers * len(frames)
 
     def test_detect_batch_no_filter(self, engine):
         detector_a = SimulatedDetector(engine.dataset.world, seed=4)

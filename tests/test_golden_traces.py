@@ -5,7 +5,10 @@ the code (served vs solo, restored vs uninterrupted, lazy vs eager). A
 change that moves every path's random stream together passes all of
 them. This module pins sha256 digests of whole traces — chunks, frames,
 d0s, d1s, costs and results — for a few fixed runs, so such a change
-fails here.
+fails here. It also pins digests of the simulated detector's own output
+over fixed, seeded ``detect_batch`` calls, so a change to the detector
+kernel that moves any detection, or turns one of its fields into a numpy
+scalar, fails here even when no pinned trace happens to see it.
 
 Regenerate the digests only for a deliberate stream change, and record
 that change in CHANGES.md. To print the current digests::
@@ -58,6 +61,31 @@ GOLDEN = {
 }
 
 
+#: Seeded ``detect_batch`` call sets, each run on a detector with no
+#: cache under every class, ``None`` and :data:`UNKNOWN_CLASS`:
+#: ``(dataset, scale, calls, max frames per call, frame margin)``.
+#: Fused calls span the 4 videos of archie at 0.2 (the ``batch``
+#: workload's repository; archie at 0.05 has one video) and repeat a
+#: pair now and then. bdd1k calls are single frames, as in ``solo``.
+#: dashcam frames reach ``margin`` frames before a video's start and
+#: past its end.
+DETECT_CALLS = {
+    "archie-fused": ("archie", 0.2, 40, 24, 0),
+    "bdd1k-single": ("bdd1k", 1.0, 150, 1, 0),
+    "dashcam": ("dashcam", 0.02, 30, 12, 3),
+}
+DETECT_SEED = 5
+UNKNOWN_CLASS = "zebra"
+
+#: Computed before the detector kernel was rewritten around the
+#: segment-table visibility index; they must not move.
+GOLDEN_DETECT = {
+    "detect/archie-fused": "415b350b75909edb6f74701c19d51953dc9f254214df6a57634ff4bb58ff27b8",
+    "detect/bdd1k-single": "7e15c7f9f785a4649deb5ecad8732cb38d63a0cc6c9a04ad43620bd345c58290",
+    "detect/dashcam": "5c53d1976677ffcdfccb77daa7e25c7120371d197236c79884d4b43d95214ac1",
+}
+
+
 def _result_key(result) -> tuple:
     """A canonical tuple for one ``FoundObject``, free of numpy reprs."""
     return (
@@ -87,6 +115,68 @@ def trace_digest(trace) -> str:
         repr(tuple(_result_key(r) for r in trace.results)).encode()
     )
     return hasher.hexdigest()
+
+
+def _field_key(value) -> tuple:
+    """Type name and value; floats by ``float.hex()``, so no repr rounds."""
+    return (
+        type(value).__name__,
+        value.hex() if isinstance(value, float) else value,
+    )
+
+
+def detections_digest(hasher, detections) -> None:
+    """Feed one frame's detections, every field with its type, to ``hasher``."""
+    for d in detections:
+        box = d.box
+        fields = (
+            d.video, d.frame, box.x1, box.y1, box.x2, box.y2,
+            d.class_name, d.score, d.instance_uid,
+        )
+        hasher.update(
+            repr((type(box).__name__,) + tuple(map(_field_key, fields))).encode()
+        )
+    hasher.update(b"\x1e")
+
+
+def _detect_call_pairs(dataset, calls, max_frames, margin, rng):
+    """Seeded ``(videos, frames)`` call shapes over ``dataset``."""
+    lengths = [v.num_frames for v in dataset.repository.videos]
+    out = []
+    for _ in range(calls):
+        size = int(rng.integers(1, max_frames + 1))
+        videos = [int(v) for v in rng.integers(0, len(lengths), size=size)]
+        frames = [
+            int(rng.integers(-margin, lengths[v] + margin)) for v in videos
+        ]
+        if size > 2 and rng.random() < 0.5:
+            videos.append(videos[0])
+            frames.append(frames[0])
+        out.append((videos, frames))
+    return out
+
+
+def compute_detect_digests() -> dict:
+    """Digest every pinned ``detect_batch`` call set, per class filter."""
+    from repro.detection.simulated import SimulatedDetector
+    from repro.video import make_dataset
+
+    digests = {}
+    for name, (dataset_name, scale, calls, max_frames, margin) in DETECT_CALLS.items():
+        dataset = make_dataset(dataset_name, scale=scale, seed=0)
+        detector = SimulatedDetector(dataset.world, seed=DETECT_SEED)
+        pairs = _detect_call_pairs(
+            dataset, calls, max_frames, margin, np.random.default_rng(DETECT_SEED)
+        )
+        hasher = hashlib.sha256()
+        for class_filter in dataset.world.class_names() + [None, UNKNOWN_CLASS]:
+            hasher.update(repr(class_filter).encode())
+            for videos, frames in pairs:
+                for detections in detector.detect_batch(videos, frames, class_filter):
+                    detections_digest(hasher, detections)
+                hasher.update(b"\x1d")
+        digests[f"detect/{name}"] = hasher.hexdigest()
+    return digests
 
 
 def compute_digests() -> dict:
@@ -129,6 +219,21 @@ def test_trace_digest_is_pinned(digests, run):
     )
 
 
+@pytest.fixture(scope="module")
+def detect_digests() -> dict:
+    return compute_detect_digests()
+
+
+@pytest.mark.parametrize("calls", sorted(GOLDEN_DETECT))
+def test_detector_digest_is_pinned(detect_digests, calls):
+    assert detect_digests[calls] == GOLDEN_DETECT[calls], (
+        f"{calls}: the detector's output changed. If it changed on "
+        "purpose, regenerate GOLDEN_DETECT and record why in CHANGES.md."
+    )
+
+
 if __name__ == "__main__":
     for key, value in compute_digests().items():
+        print(f'    "{key}": "{value}",')
+    for key, value in compute_detect_digests().items():
         print(f'    "{key}": "{value}",')

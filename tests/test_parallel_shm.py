@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro.detection.cache import make_detection_cache
+from repro.detection.simulated import SimulatedDetector
 from repro.errors import ConfigError
 from repro.experiments.parallel import (
     dataset_engine,
@@ -93,6 +94,11 @@ class TestSharedWorldStore:
     def test_handle_pickling_and_lifecycle(self):
         world = make_tiny_dataset(seed=3).world
         by_value = pickle.dumps(world)
+        # Detection builds the world's lazy visibility table; by-value
+        # pickles shed it. (A cached detector would also compute the
+        # content digest, which pickles keep, so this one has no cache.)
+        SimulatedDetector(world, seed=0).detect_batch([0, 1, 0], [10, 400, 900])
+        assert pickle.dumps(world) == by_value
         with SharedWorldStore(world) as store:
             as_handle = pickle.dumps(world)
             assert len(as_handle) < 512 < len(by_value)
@@ -120,8 +126,9 @@ class TestSharedWorldStore:
                     assert attached.instances_of(name) == world.instances_of(name)
                 frames = np.arange(0, 1200, 7)
                 for video in range(world.repository.num_videos):
-                    got = attached.visible_uids_batch(video, frames)
-                    want = world.visible_uids_batch(video, frames)
+                    videos = np.full(frames.size, video)
+                    got = attached.visible_at(videos, frames)
+                    want = world.visible_at(videos, frames)
                     assert np.array_equal(got[0], want[0])
                     assert np.array_equal(got[1], want[1])
                 uids = np.arange(world.num_instances)

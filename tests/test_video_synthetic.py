@@ -173,7 +173,7 @@ class TestWorldQueries:
 
 
 class TestVectorisedVisibility:
-    """visible_uids / visible_uids_batch / boxes_at agree with the objects."""
+    """visible_uids / visible_at / boxes_at agree with the objects."""
 
     def test_visible_uids_matches_visible(self):
         dataset = make_tiny_dataset(seed=21)
@@ -183,32 +183,34 @@ class TestVectorisedVisibility:
                 uids = world.visible_uids(video, frame).tolist()
                 assert uids == [i.uid for i in world.visible(video, frame)]
 
-    def test_batch_agrees_on_both_paths(self, monkeypatch):
-        from repro.video import synthetic as synthetic_mod
-
-        dataset = make_tiny_dataset(seed=21)
-        world = dataset.world
-        frames = np.arange(0, 1200, 13)
+    def test_visible_at_matches_interval_test(self):
+        """The segment table agrees with a brute-force interval test,
+        pair by pair, in ``_video_index`` order."""
+        world = make_tiny_dataset(seed=21).world
+        rng = np.random.default_rng(5)
+        videos = rng.choice([0, 1, 99], size=500, p=[0.45, 0.45, 0.1])
+        frames = rng.integers(-20, 1220, size=500)
         want_flat = []
         want_counts = []
-        for frame in frames:
-            uids = world.visible_uids(0, int(frame))
-            want_flat.extend(uids.tolist())
-            want_counts.append(uids.size)
-        for budget in (4_000_000, 0):  # broadcast mask path, then fallback
-            monkeypatch.setattr(
-                synthetic_mod, "_VISIBILITY_MASK_BUDGET", budget
-            )
-            got_flat, got_counts = world.visible_uids_batch(0, frames)
-            assert got_flat.tolist() == want_flat
-            assert got_counts.tolist() == want_counts
+        for video, frame in zip(videos.tolist(), frames.tolist()):
+            index = world._video_index.get(video)
+            uids = []
+            if index is not None:
+                starts, ends, ids = index
+                uids = ids[(starts <= frame) & (frame < ends)].tolist()
+            want_flat.extend(uids)
+            want_counts.append(len(uids))
+        assert min(frames) < 0 and max(frames) >= 1200 and sum(want_counts) > 0
+        got_flat, got_counts = world.visible_at(videos, frames)
+        assert got_flat.tolist() == want_flat
+        assert got_counts.tolist() == want_counts
 
     def test_batch_empty_and_unknown_video(self):
         dataset = make_tiny_dataset(seed=21)
         world = dataset.world
-        flat, counts = world.visible_uids_batch(99, np.array([1, 2, 3]))
+        flat, counts = world.visible_at([99, 99, 99], [1, 2, 3])
         assert flat.size == 0 and counts.tolist() == [0, 0, 0]
-        flat, counts = world.visible_uids_batch(0, np.array([], dtype=np.int64))
+        flat, counts = world.visible_at([], [])
         assert flat.size == 0 and counts.size == 0
 
     def test_boxes_at_matches_box_at(self):
