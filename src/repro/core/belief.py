@@ -26,7 +26,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.errors import ConfigError
 
@@ -65,11 +64,15 @@ class GammaBelief:
 
     def quantile(self, q: float) -> float:
         """Inverse CDF at ``q`` (used by Bayes-UCB)."""
-        return float(_scipy_stats.gamma.ppf(q, a=self.alpha, scale=1.0 / self.beta))
+        from scipy import stats
+
+        return float(stats.gamma.ppf(q, a=self.alpha, scale=1.0 / self.beta))
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         """Density, used by the Figure 2 validation plots."""
-        return _scipy_stats.gamma.pdf(x, a=self.alpha, scale=1.0 / self.beta)
+        from scipy import stats
+
+        return stats.gamma.pdf(x, a=self.alpha, scale=1.0 / self.beta)
 
 
 def beliefs_from_counts(
@@ -172,9 +175,11 @@ class BayesUCBPolicy(ChunkPolicy):
         self.horizon = horizon
 
     def choose(self, alphas, betas, active, rng, step, batch=1):
+        from scipy import stats
+
         t = max(int(step), 1)
         q = 1.0 - 1.0 / (t * self.horizon + 1.0)
-        scores = _scipy_stats.gamma.ppf(q, a=alphas, scale=1.0 / betas)
+        scores = stats.gamma.ppf(q, a=alphas, scale=1.0 / betas)
         # Deterministic given the state; break ties randomly so the first
         # rounds (identical beliefs everywhere) still spread out.
         scores = scores + rng.uniform(0.0, 1e-12, size=scores.shape)

@@ -5,7 +5,7 @@ machinery *around* detection must be as close to free as the OS allows.
 The process-parallel backbone (:mod:`repro.experiments.parallel`) broke
 that premise in two ways: every task shipped to a worker re-pickled the
 entire :class:`~repro.video.synthetic.SyntheticWorld` (megabytes of
-``ObjectInstance`` objects, serialized per *task*, not per worker), and
+columns, serialized per *task*, not per worker), and
 every worker warmed its own private detection memo, re-paying detection
 for frames a sibling had already resolved. EKO (Bang et al., 2021) makes
 the same observation for adaptive video sampling at large: amortize
@@ -117,11 +117,11 @@ _ATTACHED_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
 class SharedWorldStore:
     """Publishes one world's columnar state into a shared-memory segment.
 
-    Creating the store copies the world's columns — instance arrays, the
-    per-video ``(starts, ends, ids)`` interval indexes, repository/video
-    metadata — into a fresh named segment and marks the world as
+    Creating the store copies the world's columns (its
+    :class:`~repro.video.synthetic.InstanceArrays`) and its class and
+    video metadata into a fresh named segment and marks the world as
     published: from then until :meth:`close`, pickling the world emits a
-    :class:`SharedWorldHandle` instead of its megabytes of instances.
+    :class:`SharedWorldHandle` instead of its columns.
 
     The creator owns the segment. Use as a context manager (or call
     :meth:`close`) so the name is unlinked from ``/dev/shm`` on success,
@@ -241,9 +241,14 @@ def attach_shared_world(handle: SharedWorldHandle):
         )
         view.flags.writeable = False
         columns[key] = view
-    from repro.video.synthetic import SyntheticWorld
+    from repro.video.synthetic import InstanceArrays, SyntheticWorld
 
-    world = SyntheticWorld.from_shared_columns(columns, payload["meta"], handle)
+    meta = payload["meta"]
+    world = SyntheticWorld(
+        meta["repository"],
+        InstanceArrays(**columns, class_names=meta["class_names"]),
+        shared_handle=handle,
+    )
     _ATTACHED_WORLDS[handle.segment] = world
     _ATTACHED_SEGMENTS[handle.segment] = segment
     return world

@@ -36,7 +36,7 @@ class CostModel:
         detailed: bool = False,
         decoder: SimulatedDecoder | None = None,
     ):
-        if detector_fps <= 0 or scan_fps <= 0:
+        if not (detector_fps > 0 and scan_fps > 0):
             raise ConfigError("throughputs must be positive")
         self.detector_fps = detector_fps
         self.scan_fps = scan_fps

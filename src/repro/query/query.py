@@ -43,7 +43,7 @@ class DistinctObjectQuery:
             raise QueryError("specify limit or recall_target, not both")
         if self.frame_budget is not None and self.frame_budget <= 0:
             raise QueryError("frame_budget must be positive")
-        if self.cost_budget is not None and self.cost_budget <= 0:
+        if self.cost_budget is not None and not self.cost_budget > 0:
             raise QueryError("cost_budget must be positive")
 
     def resolve_limit(self, gt_count: int) -> Optional[int]:

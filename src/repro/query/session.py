@@ -45,9 +45,11 @@ from repro.errors import QueryError
 #: checkpoints shipped over a wire (base64 frames between fleet shards) can
 #: be integrity-checked and routed without deserialising the search state.
 #: v3 keeps that envelope; the uniform baselines now build chunk orders on
-#: first pick, which changed their pickled layout. Only the current version
+#: first pick, which changed their pickled layout. v4 keeps it too; the
+#: synthetic world inside a session's engine now pickles as its columns
+#: instead of a list of instance objects. Only the current version
 #: restores: an older blob gets a :class:`~repro.errors.QueryError`.
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)

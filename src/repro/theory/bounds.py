@@ -23,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.core.estimator import (
     bias_bound_maxp,
@@ -105,7 +104,9 @@ def poisson_fit_report(
     hi = int(max(samples.max(), lam * 3) + 2)
     empirical = np.bincount(samples, minlength=hi + 1) / runs
     support = np.arange(hi + 1)
-    poisson_pmf = _scipy_stats.poisson.pmf(support, lam)
+    from scipy import stats
+
+    poisson_pmf = stats.poisson.pmf(support, lam)
     tv_distance = 0.5 * float(np.abs(empirical - poisson_pmf).sum())
     return {
         "lambda": lam,
@@ -133,9 +134,10 @@ def dataset_coverage_check(
     """
     world = dataset.world
     total = dataset.total_frames
-    starts = np.array([inst.global_start for inst in world.instances])
-    ends = np.array([inst.global_end for inst in world.instances])
-    durations = (ends - starts).astype(float)
+    arrays = world.instance_arrays()
+    starts = arrays.global_starts
+    ends = starts + arrays.durations
+    durations = arrays.durations.astype(float)
     p_global = durations / total
     checkpoints = np.asarray(checkpoints, dtype=np.int64)
     inside = 0

@@ -5,7 +5,6 @@ from __future__ import annotations
 from typing import List, Tuple
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.errors import ConfigError
 
@@ -47,6 +46,8 @@ def hungarian_match(
     _check(iou, threshold)
     if iou.size == 0:
         return []
+    from scipy.optimize import linear_sum_assignment
+
     eligible = np.where(iou >= threshold, iou, 0.0)
     rows, cols = linear_sum_assignment(-eligible)
     return [

@@ -224,7 +224,7 @@ def make_dataset(name: str, scale: float = 1.0, seed: int = 0) -> Dataset:
         raise DatasetError(
             f"unknown dataset {name!r}; choose from {sorted(DATASET_BUILDERS)}"
         ) from None
-    if scale <= 0 or scale > 1.0:
+    if not 0 < scale <= 1.0:
         raise DatasetError("scale must lie in (0, 1]")
     return builder(scale=scale, seed=seed)
 

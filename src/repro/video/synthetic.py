@@ -8,6 +8,12 @@ with noise; the discriminator's simulated tracker *follows* trajectories the
 way a pixel tracker would; and the evaluation treats the world as the exact
 ground truth that the paper could only approximate (§V-A).
 
+The world is a set of columns (:class:`InstanceArrays`), one row per
+instance uid. The builder draws each class's instances as arrays and
+computes them as column expressions, so no per-instance object is made
+while a dataset is synthesised; :class:`ObjectInstance` objects are
+read-only per-uid views, built on first access.
+
 What matters for reproducing the paper's results is the *joint distribution*
 of instance durations (the ``p_i``) and instance placement across chunks
 (the skew); the builder exposes both directly:
@@ -23,8 +29,9 @@ of instance durations (the ``p_i``) and instance placement across chunks
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Sequence as SequenceABC
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
@@ -33,7 +40,7 @@ from repro.errors import DatasetError
 from repro.theory.instances import lognormal_durations
 from repro.utils.rng import RngFactory
 from repro.video.geometry import BoundingBox, interpolate
-from repro.video.video import Video, VideoRepository
+from repro.video.video import VideoRepository
 
 _Z_95 = 1.959963984540054
 
@@ -142,11 +149,17 @@ class ClassSpec:
 
 @dataclass(frozen=True)
 class InstanceArrays:
-    """Columnar instance data, each array indexed by uid.
+    """A world's columns: everything it holds besides its repository.
 
-    ``entry``/``exit`` are (N, 4) xyxy boxes; ``class_codes`` index into
-    ``class_names`` (the sorted class list, matching
-    :meth:`SyntheticWorld.class_names`).
+    Every array except ``video_order`` is indexed by uid: the interval
+    ``starts``/``ends``/``durations`` in frames of ``videos``, the
+    ``global_starts`` of those intervals, ``entry``/``exit`` as (N, 4)
+    xyxy boxes, and ``class_codes`` indexing ``class_names`` (the sorted
+    names of the classes that have instances). ``video_order`` holds
+    every uid grouped by video, videos ascending, and each video's uids
+    in the order an unstable ``argsort`` of that video's starts (in uid
+    order) left them: the order in which visibility queries report uids
+    and the detector assigns its draws.
     """
 
     starts: np.ndarray
@@ -155,18 +168,29 @@ class InstanceArrays:
     entry: np.ndarray
     exit: np.ndarray
     class_codes: np.ndarray
+    videos: np.ndarray
+    global_starts: np.ndarray
+    video_order: np.ndarray
     class_names: Tuple[str, ...]
+
+    def columns(self) -> Dict[str, np.ndarray]:
+        """The arrays by field name: ``InstanceArrays(**columns,
+        class_names=...)`` rebuilds this object."""
+        return {
+            f.name: getattr(self, f.name)
+            for f in fields(self)
+            if f.name != "class_names"
+        }
 
 
 class _LazyInstances(SequenceABC):
-    """Read-only instance list over a shared world's columns.
+    """Read-only instance list over a world's columns.
 
-    Worlds attached from shared memory carry columns, not
-    :class:`ObjectInstance` objects; the few code paths that still want
-    objects (the discriminator materializes one per *new track*, the
-    theory bounds iterate a class) get them built on first access, per
-    uid, from the zero-copy columns — never as an up-front per-task
-    deserialization.
+    The columns are the world; the few code paths that want objects
+    (the discriminator materializes one per *new track*, tests and
+    ablations iterate a class) get a frozen :class:`ObjectInstance` view
+    per uid, built on first access and cached, so asking twice returns
+    the same object.
     """
 
     __slots__ = ("_world", "_cache")
@@ -181,6 +205,7 @@ class _LazyInstances(SequenceABC):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
+        index = operator.index(index)  # a numpy uid becomes a plain int
         n = len(self)
         if index < 0:
             index += n
@@ -193,97 +218,77 @@ class _LazyInstances(SequenceABC):
 
 
 class SyntheticWorld:
-    """All ground-truth instances of a repository, indexed for fast lookup.
+    """All ground-truth instances of a repository, as columns.
 
-    A world pickles two ways. Normally the instance list travels by
-    value, exactly as before. While published to a
+    The world is its repository plus one :class:`InstanceArrays`;
+    :attr:`instances`, :meth:`instances_of` and :meth:`visible` return
+    cached per-uid :class:`ObjectInstance` views of those columns.
+
+    A world pickles two ways. By value, it carries the columns (and
+    sheds the caches derived from them). While published to a
     :class:`~repro.parallel.shm.SharedWorldStore`, pickling emits only a
-    ~100-byte segment handle and the receiving process rebuilds the
-    world as zero-copy numpy views over the shared pages (see
-    :meth:`from_shared_columns`); results are identical either way —
-    every query resolves against the same column values.
+    ~100-byte segment handle, and the receiving process builds the
+    world around zero-copy numpy views of the same columns in the
+    shared pages; results are identical either way.
     """
 
-    def __init__(self, repository: VideoRepository, instances: List[ObjectInstance]):
+    def __init__(
+        self,
+        repository: VideoRepository,
+        arrays: InstanceArrays,
+        shared_handle=None,
+    ):
         self.repository = repository
-        self._instances: "List[ObjectInstance] | None" = instances
+        self._arrays = arrays
+        self._shared_handle = shared_handle
         self._lazy: "_LazyInstances | None" = None
-        self._arrays: "InstanceArrays | None" = None
-        self._shared_handle = None
-        self._videos_col: "np.ndarray | None" = None
-        self._global_starts_col: "np.ndarray | None" = None
         self._content_digest: "bytes | None" = None
         self._visibility: "Tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
-        self._by_class: "Dict[str, List[int]] | None" = {}
-        for idx, inst in enumerate(instances):
-            if idx != inst.uid:
-                raise DatasetError("instance uids must be dense and ordered")
-            self._by_class.setdefault(inst.class_name, []).append(idx)
-        # Per-video interval index sorted by start frame, for visible().
-        self._video_index: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        per_video: Dict[int, List[int]] = {}
-        for idx, inst in enumerate(instances):
-            per_video.setdefault(inst.video, []).append(idx)
-        for video, idxs in per_video.items():
-            ids = np.array(idxs, dtype=np.int64)
-            starts = np.array([instances[i].start for i in idxs], dtype=np.int64)
-            ends = np.array([instances[i].end for i in idxs], dtype=np.int64)
-            order = np.argsort(starts)
-            self._video_index[video] = (starts[order], ends[order], ids[order])
 
     # -- queries ---------------------------------------------------------
 
     @property
     def instances(self) -> Sequence[ObjectInstance]:
-        """The instance list (lazily materialized for attached worlds)."""
-        if self._instances is not None:
-            return self._instances
+        """Every instance, indexed by uid (per-uid views, built lazily)."""
         if self._lazy is None:
             self._lazy = _LazyInstances(self)
         return self._lazy
 
     @property
     def num_instances(self) -> int:
-        if self._instances is None:
-            return int(self.instance_arrays().starts.size)
-        return len(self._instances)
+        return int(self._arrays.starts.size)
 
     def class_names(self) -> List[str]:
-        if self._by_class is None:
-            # Attached worlds: the published list is already sorted.
-            return list(self.instance_arrays().class_names)
-        return sorted(self._by_class)
+        return list(self._arrays.class_names)
 
-    def _class_index(self) -> Dict[str, List[int]]:
-        by_class = self._by_class
-        if by_class is None:
-            arrays = self.instance_arrays()
-            by_class = {}
-            for code, name in enumerate(arrays.class_names):
-                uids = np.nonzero(arrays.class_codes == code)[0]
-                if uids.size:
-                    by_class[name] = uids.tolist()
-            self._by_class = by_class
-        return by_class
+    def _class_uids(self, class_name: str) -> np.ndarray:
+        """Uids of one class, ascending (empty for an absent class)."""
+        arrays = self._arrays
+        if class_name not in arrays.class_names:
+            return np.empty(0, dtype=np.int64)
+        return np.flatnonzero(
+            arrays.class_codes == arrays.class_names.index(class_name)
+        )
 
     def instances_of(self, class_name: str) -> List[ObjectInstance]:
         instances = self.instances
-        return [instances[i] for i in self._class_index().get(class_name, [])]
+        return [instances[i] for i in self._class_uids(class_name).tolist()]
 
     def count_of(self, class_name: str) -> int:
         """Ground-truth distinct instance count for a class (the recall
         denominator of §V-A)."""
-        return len(self._class_index().get(class_name, []))
+        return int(self._class_uids(class_name).size)
 
     def visible(self, video: int, frame: int) -> List[ObjectInstance]:
         """Instances (any class) visible at (video, frame)."""
-        return [self.instances[int(i)] for i in self.visible_uids(video, frame)]
+        instances = self.instances
+        return [instances[i] for i in self.visible_uids(video, frame).tolist()]
 
     def visible_uids(self, video: int, frame: int) -> np.ndarray:
         """Uids of instances visible at (video, frame), as an int64 array.
 
         The one-pair :meth:`visible_at`: the array-returning variant of
-        :meth:`visible`, in ``_video_index`` order.
+        :meth:`visible`, in ``video_order``.
         """
         return self.visible_at([video], [frame])[0]
 
@@ -294,10 +299,10 @@ class SyntheticWorld:
 
         Returns ``(uids_flat, counts)``: the uids visible at each pair,
         concatenated pair by pair, and the per-pair counts. Within a pair,
-        uids come in ``_video_index`` order (by start frame, ties as that
-        index's sort left them), the order the detector assigns draws in.
-        Each pair is one ``searchsorted`` into the segment table (see
-        :meth:`_visibility_table`) plus a slice of its flat uid array.
+        uids come in ``video_order`` (by start frame, ties as that
+        order's unstable sort left them), the order the detector assigns
+        draws in. Each pair is one ``searchsorted`` into the segment table
+        (see :meth:`_visibility_table`) plus a slice of its flat uid array.
         Negative frames, frames outside every instance, frames past a
         video's end and videos without instances see nothing.
         """
@@ -324,26 +329,21 @@ class SyntheticWorld:
         end) and the sentinel open empty segments, so keys that fall
         between videos, before the first or after the last see nothing.
 
-        Built lazily in one vectorised pass over ``_video_index``, whose
-        order it keeps: that index comes from an unstable ``argsort``, and
-        its order among equal starts is what assigns each detector draw
-        to an instance, so the build never re-sorts instances (the segment
-        sort below is stable). Two threads may both build it; they build
-        equal tables, and the last assignment wins.
+        Built lazily in one vectorised pass over ``video_order``, whose
+        order it keeps: that order comes from an unstable ``argsort``,
+        and its order among equal starts is what assigns each detector
+        draw to an instance, so the build never re-sorts instances (the
+        segment sort below is stable). Two threads may both build it;
+        they build equal tables, and the last assignment wins.
         """
         table = self._visibility
         if table is not None:
             return table
-        # Every instance interval as keys, videos in _video_index order.
-        # The leading empty arrays leave an instance-less world with the
-        # sentinel segment alone.
-        starts, ends, ids = ([np.empty(0, dtype=np.int64)] for _ in range(3))
-        for video, (video_starts, video_ends, video_ids) in self._video_index.items():
-            shift = np.int64(video) << _FRAME_BITS
-            starts.append(video_starts + shift)
-            ends.append(video_ends + shift)
-            ids.append(video_ids)
-        starts, ends, ids = map(np.concatenate, (starts, ends, ids))
+        arrays = self._arrays
+        ids = arrays.video_order
+        shift = arrays.videos[ids] << _FRAME_BITS
+        starts = arrays.starts[ids] + shift
+        ends = arrays.ends[ids] + shift
         bounds = np.unique(np.concatenate([starts, ends]))
         # Instance i is visible in segments first[i] .. first[i] + spans[i] - 1.
         first = bounds.searchsorted(starts)
@@ -358,42 +358,14 @@ class SyntheticWorld:
         return table
 
     def instance_arrays(self) -> "InstanceArrays":
-        """Columnar view of every instance, indexed by uid (cached).
+        """The world's columns, indexed by uid.
 
         Enables whole-frame vectorised operations — ground-truth boxes via
         one interpolation expression instead of per-instance
         :meth:`ObjectInstance.box_at` calls — for the detector and the
         discriminator's track matching.
         """
-        arrays = self._arrays
-        if arrays is None:
-            instances = self.instances
-            n = len(instances)
-            entry = np.empty((n, 4), dtype=float)
-            exit_ = np.empty((n, 4), dtype=float)
-            starts = np.empty(n, dtype=np.int64)
-            ends = np.empty(n, dtype=np.int64)
-            class_names = self.class_names()
-            class_code = {name: i for i, name in enumerate(class_names)}
-            codes = np.empty(n, dtype=np.int64)
-            for i, inst in enumerate(instances):
-                entry[i] = inst.entry_box.as_array()
-                exit_[i] = inst.exit_box.as_array()
-                starts[i] = inst.start
-                ends[i] = inst.end
-                codes[i] = class_code[inst.class_name]
-            durations = ends - starts
-            arrays = InstanceArrays(
-                starts=starts,
-                ends=ends,
-                durations=durations,
-                entry=entry,
-                exit=exit_,
-                class_codes=codes,
-                class_names=tuple(class_names),
-            )
-            self._arrays = arrays
-        return arrays
+        return self._arrays
 
     def boxes_at(self, uids: np.ndarray, frame) -> np.ndarray:
         """Ground-truth boxes (len(uids), 4) at ``frame``, vectorised.
@@ -403,29 +375,34 @@ class SyntheticWorld:
         single-frame instances pinned at their entry box. ``frame`` may be
         a scalar or an array aligned with ``uids`` (one frame per uid).
         """
-        arrays = self.instance_arrays()
+        arrays = self._arrays
         starts = arrays.starts[uids]
         denom = np.maximum(arrays.durations[uids] - 1, 1)
         t = np.clip((frame - starts) / denom, 0.0, 1.0)
         entry = arrays.entry[uids]
         return entry + (arrays.exit[uids] - entry) * t[:, None]
 
+    def _global_intervals(self, class_name: str) -> Tuple[np.ndarray, np.ndarray]:
+        """Global ``(starts, ends)`` of one class's instances, by uid."""
+        uids = self._class_uids(class_name)
+        starts = self._arrays.global_starts[uids]
+        return starts, starts + self._arrays.durations[uids]
+
     def presence_mask(self, class_name: str) -> np.ndarray:
         """Boolean mask over global frames: is any instance of the class
         visible? (Used to synthesise proxy-model scores.)"""
-        mask_diff = np.zeros(self.repository.total_frames + 1, dtype=np.int32)
-        for inst in self.instances_of(class_name):
-            mask_diff[inst.global_start] += 1
-            mask_diff[inst.global_end] -= 1
+        starts, ends = self._global_intervals(class_name)
+        size = self.repository.total_frames + 1
+        mask_diff = np.bincount(starts, minlength=size) - np.bincount(
+            ends, minlength=size
+        )
         return np.cumsum(mask_diff[:-1]) > 0
 
     def chunk_counts(self, class_name: str, bounds: np.ndarray) -> np.ndarray:
         """Instances of a class per chunk, by global midpoint (Figure 6)."""
         bounds = np.asarray(bounds, dtype=np.int64)
-        mids = np.array(
-            [inst.global_midpoint for inst in self.instances_of(class_name)],
-            dtype=np.int64,
-        )
+        uids = self._class_uids(class_name)
+        mids = self._arrays.global_starts[uids] + self._arrays.durations[uids] // 2
         if mids.size == 0:
             return np.zeros(bounds.size - 1, dtype=np.int64)
         idx = np.clip(
@@ -436,9 +413,7 @@ class SyntheticWorld:
     def chunk_probabilities(self, class_name: str, bounds: np.ndarray) -> np.ndarray:
         """Conditional p_{ij} matrix for one class (feeds Eq. IV.1)."""
         bounds = np.asarray(bounds, dtype=np.int64)
-        instances = self.instances_of(class_name)
-        starts = np.array([i.global_start for i in instances], dtype=np.int64)
-        ends = np.array([i.global_end for i in instances], dtype=np.int64)
+        starts, ends = self._global_intervals(class_name)
         lows = np.maximum(starts[:, None], bounds[None, :-1])
         highs = np.minimum(ends[:, None], bounds[None, 1:])
         overlap = np.clip(highs - lows, 0, None).astype(float)
@@ -453,11 +428,10 @@ class SyntheticWorld:
         :class:`~repro.parallel.shm.SharedWorldStore` sets
         ``_shared_handle`` for the duration of a pool; every pickle in
         that window (task submission to workers) costs ~100 bytes
-        instead of the full instance list, and unpickling attaches the
-        shared segment (memoized per process). Do not take durable
-        checkpoints of a *published* world — the handle dies with the
-        store; the normal by-value path resumes as soon as the store
-        closes.
+        instead of the columns, and unpickling attaches the shared
+        segment (memoized per process). Do not take durable checkpoints
+        of a *published* world — the handle dies with the store; the
+        normal by-value path resumes as soon as the store closes.
         """
         handle = self._shared_handle
         if handle is not None:
@@ -467,64 +441,36 @@ class SyntheticWorld:
         return super().__reduce_ex__(protocol)
 
     def __getstate__(self) -> dict:
-        """By-value pickling sheds derivable caches.
+        """By-value pickling carries the columns and sheds derivable caches.
 
-        The ownership columns, the visibility table and lazily
-        materialized instances are rebuilt on demand; shipping them would
-        double a checkpoint's world payload for no information.
+        The visibility table and materialized instance views are rebuilt
+        on demand; shipping them would add to a checkpoint's world
+        payload for no information.
         """
         state = dict(self.__dict__)
         state["_lazy"] = None
-        state["_arrays"] = None
-        state["_videos_col"] = None
-        state["_global_starts_col"] = None
         state["_visibility"] = None
         return state
 
     def shared_columns(self) -> Tuple[Dict[str, np.ndarray], dict]:
         """Everything a worker needs to rebuild this world, as flat arrays.
 
-        Returns ``(columns, meta)``: named numpy arrays — the
-        :class:`InstanceArrays` columns, per-uid video/global-start
-        columns, and each video's sorted ``(starts, ends, ids)``
-        interval index — plus a small metadata dict (class names, video
-        metadata). :class:`~repro.parallel.shm.SharedWorldStore` copies
-        the arrays into a shared segment; :meth:`from_shared_columns`
-        reverses the split from zero-copy views.
+        Returns ``(columns, meta)``: the :class:`InstanceArrays` columns
+        by name plus a small picklable dict (the repository and the class
+        names). :class:`~repro.parallel.shm.SharedWorldStore` copies the
+        arrays into a shared segment; attaching builds the world around
+        zero-copy views of them.
         """
-        arrays = self.instance_arrays()
-        videos_col, global_starts_col = self._ownership_columns()
-        columns: Dict[str, np.ndarray] = {
-            "starts": arrays.starts,
-            "ends": arrays.ends,
-            "durations": arrays.durations,
-            "entry": arrays.entry,
-            "exit": arrays.exit,
-            "class_codes": arrays.class_codes,
-            "videos": videos_col,
-            "global_starts": global_starts_col,
-        }
-        for video, (starts, ends, ids) in self._video_index.items():
-            columns[f"vidx/{video}/starts"] = starts
-            columns[f"vidx/{video}/ends"] = ends
-            columns[f"vidx/{video}/ids"] = ids
-        meta = {
-            "class_names": list(arrays.class_names),
-            "videos_meta": [
-                (v.name, v.num_frames, v.fps, v.width, v.height)
-                for v in self.repository.videos
-            ],
-            "video_ids": list(self._video_index),
-        }
-        return columns, meta
+        meta = {"repository": self.repository, "class_names": self._arrays.class_names}
+        return self._arrays.columns(), meta
 
     def content_digest(self) -> bytes:
         """16-byte digest of everything detection output depends on.
 
-        Computed from the columnar state, so a world and its
-        shared-memory attachment digest identically, and two worlds
-        digest identically exactly when a detector over them produces
-        identical outputs. Cross-world caches (the pool-wide
+        Computed from the columns, so a world and its shared-memory
+        attachment digest identically, and two worlds digest identically
+        exactly when a detector over them produces identical outputs.
+        Cross-world caches (the pool-wide
         :class:`~repro.parallel.shm.SharedDetectionCache`) use it to
         namespace their keys.
         """
@@ -532,8 +478,7 @@ class SyntheticWorld:
         if digest is None:
             import hashlib
 
-            arrays = self.instance_arrays()
-            videos_col, _ = self._ownership_columns()
+            arrays = self._arrays
             hasher = hashlib.blake2b(digest_size=16)
             hasher.update(
                 repr(
@@ -550,87 +495,76 @@ class SyntheticWorld:
                 arrays.class_codes,
                 arrays.entry,
                 arrays.exit,
-                videos_col,
+                arrays.videos,
             ):
                 hasher.update(np.ascontiguousarray(column).tobytes())
             digest = self._content_digest = hasher.digest()
         return digest
 
-    def _ownership_columns(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-uid ``video`` and ``global_start`` columns."""
-        if self._videos_col is not None and self._global_starts_col is not None:
-            return self._videos_col, self._global_starts_col
-        instances = self.instances
-        n = len(instances)
-        videos = np.fromiter((i.video for i in instances), dtype=np.int64, count=n)
-        global_starts = np.fromiter(
-            (i.global_start for i in instances), dtype=np.int64, count=n
-        )
-        self._videos_col = videos
-        self._global_starts_col = global_starts
-        return videos, global_starts
-
-    @classmethod
-    def from_shared_columns(
-        cls, columns: Dict[str, np.ndarray], meta: dict, handle
-    ) -> "SyntheticWorld":
-        """Rebuild a world around (typically zero-copy) column views.
-
-        The inverse of :meth:`shared_columns`. The instance *objects*
-        are not rebuilt here — :attr:`instances` materializes them per
-        uid on demand — so attaching costs parsing a small header, not
-        deserializing the world.
-        """
-        world = cls.__new__(cls)
-        world.repository = VideoRepository(
-            [Video(*spec) for spec in meta["videos_meta"]]
-        )
-        world._instances = None
-        world._lazy = None
-        world._by_class = None
-        world._shared_handle = handle
-        world._videos_col = columns["videos"]
-        world._global_starts_col = columns["global_starts"]
-        world._content_digest = None
-        world._visibility = None
-        world._arrays = InstanceArrays(
-            starts=columns["starts"],
-            ends=columns["ends"],
-            durations=columns["durations"],
-            entry=columns["entry"],
-            exit=columns["exit"],
-            class_codes=columns["class_codes"],
-            class_names=tuple(meta["class_names"]),
-        )
-        world._video_index = {
-            video: (
-                columns[f"vidx/{video}/starts"],
-                columns[f"vidx/{video}/ends"],
-                columns[f"vidx/{video}/ids"],
-            )
-            for video in meta["video_ids"]
-        }
-        return world
-
     def _instance_at(self, uid: int) -> ObjectInstance:
         """Materialize one :class:`ObjectInstance` from the columns."""
-        arrays = self.instance_arrays()
-        entry = arrays.entry[uid]
-        exit_ = arrays.exit[uid]
+        arrays = self._arrays
+        entry = arrays.entry[uid].tolist()
+        exit_ = arrays.exit[uid].tolist()
         return ObjectInstance(
             uid=uid,
             class_name=arrays.class_names[int(arrays.class_codes[uid])],
-            video=int(self._videos_col[uid]),
+            video=int(arrays.videos[uid]),
             start=int(arrays.starts[uid]),
             end=int(arrays.ends[uid]),
-            entry_box=BoundingBox(
-                float(entry[0]), float(entry[1]), float(entry[2]), float(entry[3])
-            ),
-            exit_box=BoundingBox(
-                float(exit_[0]), float(exit_[1]), float(exit_[2]), float(exit_[3])
-            ),
-            global_start=int(self._global_starts_col[uid]),
+            entry_box=BoundingBox(*entry),
+            exit_box=BoundingBox(*exit_),
+            global_start=int(arrays.global_starts[uid]),
         )
+
+
+def _no_instances() -> Tuple[np.ndarray, ...]:
+    """Zero-length ``(videos, starts, durations, entry, exit)`` columns."""
+    int_column = np.zeros(0, dtype=np.int64)
+    return int_column, int_column, int_column, np.zeros((0, 4)), np.zeros((0, 4))
+
+
+def _uniform(low, high, doubles: np.ndarray) -> np.ndarray:
+    """``Generator.uniform(low, high)`` applied to drawn ``doubles``.
+
+    NumPy computes a uniform draw as ``low + (high - low) * d`` from the
+    next double ``d``; this repeats that arithmetic column-wise.
+    """
+    return low + (high - low) * doubles
+
+
+def _sample_boxes(size, aspect, x_doubles, y_doubles, width, height) -> np.ndarray:
+    """(N, 4) boxes of side ``size`` by ``size * aspect``, centred inside
+    the frame at the positions the two uniform columns pick."""
+    w = size * aspect
+    h = size
+    cx = _uniform(w / 2, np.maximum(width - w / 2, w / 2 + 1), x_doubles)
+    cy = _uniform(h / 2, np.maximum(height - h / 2, h / 2 + 1), y_doubles)
+    return np.stack([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2], axis=1)
+
+
+def _clip_boxes(boxes: np.ndarray, width, height) -> np.ndarray:
+    """:meth:`BoundingBox.clipped` over (N, 4) boxes and per-row frames."""
+    x1 = np.minimum(np.maximum(boxes[:, 0], 0.0), width)
+    y1 = np.minimum(np.maximum(boxes[:, 1], 0.0), height)
+    x2 = np.minimum(np.maximum(boxes[:, 2], x1), width)
+    y2 = np.minimum(np.maximum(boxes[:, 3], y1), height)
+    return np.stack([x1, y1, x2, y2], axis=1)
+
+
+def _video_order(videos: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Every uid grouped by video, each video's uids sorted by start.
+
+    Within a video the order is ``np.argsort`` of that video's starts in
+    uid order, an unstable sort: its order among equal starts decides
+    which detector draw goes to which instance, so each video's starts
+    array is built exactly that way and sorted on its own.
+    """
+    order = np.argsort(videos, kind="stable")
+    groups = np.split(order, np.flatnonzero(np.diff(videos[order])) + 1)
+    for ids in groups:
+        ids[:] = ids[np.argsort(starts[ids])]
+    return order
 
 
 class SyntheticWorldBuilder:
@@ -646,49 +580,88 @@ class SyntheticWorldBuilder:
         return self
 
     def build(self) -> SyntheticWorld:
-        instances: List[ObjectInstance] = []
-        uid = 0
+        """Draw every class's instances and assemble the world's columns.
+
+        Uids run class by class in :meth:`add_class` order; each class
+        draws from its own named stream, and a class without instances
+        draws nothing.
+        """
+        repo = self.repository
+        frame_sizes = np.array([(v.width, v.height) for v in repo.videos], dtype=float)
+        names: List[str] = []
+        counts: List[int] = []
+        placed = [_no_instances()]
         for spec in self._specs:
             rng = self.rngs.stream("class", spec.name)
-            for inst in self._place_class(spec, rng, uid):
-                instances.append(inst)
-                uid += 1
-        return SyntheticWorld(self.repository, instances)
+            if spec.count:
+                names.append(spec.name)
+                counts.append(spec.count)
+                placed.append(self._place_class(spec, rng, frame_sizes))
+        videos, starts, durations, entry, exit_ = map(np.concatenate, zip(*placed))
+        class_names = tuple(sorted(set(names)))
+        class_codes = np.repeat(
+            np.array([class_names.index(name) for name in names], dtype=np.int64),
+            np.array(counts, dtype=np.int64),
+        )
+        arrays = InstanceArrays(
+            starts=starts,
+            ends=starts + durations,
+            durations=durations,
+            entry=entry,
+            exit=exit_,
+            class_codes=class_codes,
+            videos=videos,
+            global_starts=repo.offsets[videos] + starts,
+            video_order=_video_order(videos, starts),
+            class_names=class_names,
+        )
+        return SyntheticWorld(repo, arrays)
 
     # -- internals ---------------------------------------------------------
 
     def _place_class(
-        self, spec: ClassSpec, rng: np.random.Generator, next_uid: int
+        self, spec: ClassSpec, rng: np.random.Generator, frame_sizes: np.ndarray
     ):
-        if spec.count == 0:
-            return
-        total = self.repository.total_frames
-        mids = self._midpoints(spec, rng, total)
+        """One class's ``(videos, starts, durations, entry, exit)`` columns.
+
+        Draws the midpoints, then the durations, then eight doubles per
+        instance as one ``(count, 8)`` block: entry size, exit scale,
+        aspect, entry centre x and y, drift, target centre x and y — the
+        order in which a per-instance loop of scalar ``uniform`` calls
+        would draw them. ``frame_sizes`` holds each video's
+        ``(width, height)``.
+        """
+        repo = self.repository
+        mids = self._midpoints(spec, rng, repo.total_frames)
         # Mean fps across videos converts second-durations to frames.
-        fps = self.repository.common_fps()
+        fps = repo.common_fps()
         durations = lognormal_durations(
             spec.count, spec.mean_duration_s * fps, rng, spec.duration_sigma_log
         ).astype(np.int64)
-        durations = np.maximum(durations, 2)
-        for offset in range(spec.count):
-            mid = int(mids[offset])
-            video, frame = self.repository.locate(mid)
-            video_frames = self.repository.videos[video].num_frames
-            duration = min(int(durations[offset]), video_frames)
-            start = frame - duration // 2
-            start = int(np.clip(start, 0, video_frames - duration))
-            end = start + duration
-            entry, exit_ = self._trajectory(spec, rng, video)
-            yield ObjectInstance(
-                uid=next_uid + offset,
-                class_name=spec.name,
-                video=video,
-                start=start,
-                end=end,
-                entry_box=entry,
-                exit_box=exit_,
-                global_start=self.repository.global_index(video, start),
-            )
+        videos, frames = repo.locate_many(mids)
+        video_frames = np.diff(repo.offsets)[videos]
+        durations = np.minimum(np.maximum(durations, 2), video_frames)
+        starts = np.clip(frames - durations // 2, 0, video_frames - durations)
+
+        doubles = rng.random((spec.count, 8)).T
+        width, height = frame_sizes[videos].T
+        lo, hi = spec.size_range
+        size_entry = _uniform(lo, hi, doubles[0])
+        size_exit = size_entry * _uniform(0.6, 1.6, doubles[1])
+        aspect = _uniform(0.5, 1.5, doubles[2])
+        entry = _sample_boxes(size_entry, aspect, doubles[3], doubles[4], width, height)
+        # Exit near the entry for slow objects, across the frame for fast:
+        # a bounded random displacement keeps IoU matching meaningful.
+        drift = _uniform(0.1, 0.9, doubles[5])
+        target = _sample_boxes(size_exit, aspect, doubles[6], doubles[7], width, height)
+        exit_ = entry + (target - entry) * drift[:, None]
+        return (
+            videos,
+            starts,
+            durations,
+            _clip_boxes(entry, width, height),
+            _clip_boxes(exit_, width, height),
+        )
 
     def _midpoints(
         self, spec: ClassSpec, rng: np.random.Generator, total: int
@@ -712,31 +685,6 @@ class SyntheticWorldBuilder:
             choice = rng.integers(0, k, size=spec.count)
             mids = rng.normal(centers[choice], sigma)
         return np.clip(mids, 0, total - 1).astype(np.int64)
-
-    def _trajectory(
-        self, spec: ClassSpec, rng: np.random.Generator, video: int
-    ) -> Tuple[BoundingBox, BoundingBox]:
-        meta = self.repository.videos[video]
-        width, height = float(meta.width), float(meta.height)
-        lo, hi = spec.size_range
-        size_entry = rng.uniform(lo, hi)
-        size_exit = size_entry * rng.uniform(0.6, 1.6)
-        aspect = rng.uniform(0.5, 1.5)
-
-        def sample_box(size: float) -> BoundingBox:
-            w = size * aspect
-            h = size
-            cx = rng.uniform(w / 2, max(width - w / 2, w / 2 + 1))
-            cy = rng.uniform(h / 2, max(height - h / 2, h / 2 + 1))
-            return BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
-
-        entry = sample_box(size_entry)
-        # Exit near the entry for slow objects, across the frame for fast:
-        # a bounded random displacement keeps IoU matching meaningful.
-        drift = rng.uniform(0.1, 0.9)
-        target = sample_box(size_exit)
-        exit_ = interpolate(entry, target, drift).clipped(width, height)
-        return entry.clipped(width, height), exit_
 
 
 def build_world(

@@ -1,6 +1,8 @@
 """Tests for the command-line interface."""
 
 import io
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +13,20 @@ def run_cli(*argv):
     out = io.StringIO()
     code = main(list(argv), out=out)
     return code, out.getvalue()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy is imported where it is used: importing the CLI, in a fresh
+    interpreter, loads none of it."""
+    probe = (
+        "import sys, repro.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    assert result.stdout.strip() == "[]"
 
 
 class TestParser:
@@ -174,9 +190,19 @@ class TestServe:
              "bogus", "ConfigError: unknown multiprocessing start method"),
             (["query", "--dataset", "dashcam", "--object", "car"],
              None, "QueryError: class 'car' not in dataset 'dashcam'"),
+            (["query", "--dataset", "dashcam", "--object", "person",
+              "--scale", "nan"],
+             None, "DatasetError: scale must lie in (0, 1]"),
+            (["query", "--dataset", "dashcam", "--object", "person",
+              "--detector-fps", "nan"],
+             None, "ConfigError: throughputs must be positive"),
+            (["query", "--dataset", "dashcam", "--object", "person",
+              "--cost-budget", "nan"],
+             None, "QueryError: cost_budget must be positive"),
         ],
         ids=["no-port", "bad-port", "executor", "serve-process",
-             "fleet-process", "mp-context", "class"],
+             "fleet-process", "mp-context", "class", "nan-scale",
+             "nan-detector-fps", "nan-cost-budget"],
     )
     def test_listen_spec_validated(
         self, argv, mp_context, message, tmp_path, monkeypatch
@@ -188,7 +214,9 @@ class TestServe:
         if mp_context is not None:
             monkeypatch.setenv("REPRO_MP_CONTEXT", mp_context)
         argv = [str(workload) if arg == "WORKLOAD" else arg for arg in argv]
-        code, text = run_cli(*argv, "--scale", "0.02")
+        if "--scale" not in argv:
+            argv += ["--scale", "0.02"]
+        code, text = run_cli(*argv)
         assert code == 1
         assert text.startswith(f"error: {message}")
         assert text.count("\n") == 1

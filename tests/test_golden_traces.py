@@ -8,7 +8,10 @@ d0s, d1s, costs and results — for a few fixed runs, so such a change
 fails here. It also pins digests of the simulated detector's own output
 over fixed, seeded ``detect_batch`` calls, so a change to the detector
 kernel that moves any detection, or turns one of its fields into a numpy
-scalar, fails here even when no pinned trace happens to see it.
+scalar, fails here even when no pinned trace happens to see it. And it
+pins digests of the synthesised worlds the end-to-end benchmark runs on,
+so a change to dataset synthesis that moves any instance, or the order
+in which visibility reports instances, fails here too.
 
 Regenerate the digests only for a deliberate stream change, and record
 that change in CHANGES.md. To print the current digests::
@@ -83,6 +86,22 @@ GOLDEN_DETECT = {
     "detect/archie-fused": "415b350b75909edb6f74701c19d51953dc9f254214df6a57634ff4bb58ff27b8",
     "detect/bdd1k-single": "7e15c7f9f785a4649deb5ecad8732cb38d63a0cc6c9a04ad43620bd345c58290",
     "detect/dashcam": "5c53d1976677ffcdfccb77daa7e25c7120371d197236c79884d4b43d95214ac1",
+}
+
+
+#: The e2ebench workloads' worlds: ``(dataset, scale)``, built at seed 0.
+WORLDS = {
+    "world/bdd1k-1.0": ("bdd1k", 1.0),
+    "world/archie-0.2": ("archie", 0.2),
+    "world/dashcam-0.02": ("dashcam", 0.02),
+}
+
+#: Computed with the per-instance builder, before synthesis drew each
+#: class's instances as arrays; they must not move.
+GOLDEN_WORLD = {
+    "world/bdd1k-1.0": "47af1ebeda321a3179deb005ceb968e63885f7cd4c5c83786782062a91256913",
+    "world/archie-0.2": "02c304a36f92f3dab8cd9abc5ac225029303c9236e70e4ba448ee4b894ce3369",
+    "world/dashcam-0.02": "751c10b84220d4147a94d1a26d0d33d945bea65356308309c8be8d5d30a201bf",
 }
 
 
@@ -179,6 +198,24 @@ def compute_detect_digests() -> dict:
     return digests
 
 
+def world_digest(world) -> str:
+    """sha256 over ``content_digest()`` and the uids in video order."""
+    hasher = hashlib.sha256(world.content_digest())
+    order = world.instance_arrays().video_order
+    hasher.update(np.ascontiguousarray(order, dtype="<i8").tobytes())
+    return hasher.hexdigest()
+
+
+def compute_world_digests() -> dict:
+    """Synthesise every pinned world and digest it."""
+    from repro.video import make_dataset
+
+    return {
+        key: world_digest(make_dataset(name, scale=scale, seed=0).world)
+        for key, (name, scale) in WORLDS.items()
+    }
+
+
 def compute_digests() -> dict:
     """Run every pinned query and digest its trace."""
     from repro.query import DistinctObjectQuery, QueryEngine
@@ -232,8 +269,20 @@ def test_detector_digest_is_pinned(detect_digests, calls):
     )
 
 
+@pytest.fixture(scope="module")
+def world_digests() -> dict:
+    return compute_world_digests()
+
+
+@pytest.mark.parametrize("world", sorted(GOLDEN_WORLD))
+def test_world_digest_is_pinned(world_digests, world):
+    assert world_digests[world] == GOLDEN_WORLD[world], (
+        f"{world}: the synthesised world changed. If it changed on "
+        "purpose, regenerate GOLDEN_WORLD and record why in CHANGES.md."
+    )
+
+
 if __name__ == "__main__":
-    for key, value in compute_digests().items():
-        print(f'    "{key}": "{value}",')
-    for key, value in compute_detect_digests().items():
-        print(f'    "{key}": "{value}",')
+    for compute in (compute_digests, compute_detect_digests, compute_world_digests):
+        for key, value in compute().items():
+            print(f'    "{key}": "{value}",')

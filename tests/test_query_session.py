@@ -265,7 +265,8 @@ class TestCheckpointEnvelope:
         """Older layouts get a typed QueryError, never an AttributeError.
 
         v1 blobs were flat dicts; v2 envelopes hold searchers in the
-        layout before the uniform baselines built chunk orders lazily.
+        layout before the uniform baselines built chunk orders lazily; v3
+        envelopes hold a world pickled as a list of instance objects.
         """
         import pickle
 
@@ -285,9 +286,11 @@ class TestCheckpointEnvelope:
             protocol=pickle.HIGHEST_PROTOCOL,
         )
         envelope = pickle.loads(session.checkpoint())
-        envelope["version"] = 2
-        v2_blob = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
-        for blob in (v1_blob, v2_blob):
+        older = []
+        for version in (2, 3):
+            envelope["version"] = version
+            older.append(pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
+        for blob in (v1_blob, *older):
             with pytest.raises(QueryError, match="version"):
                 QuerySession.restore(blob)
             with pytest.raises(QueryError, match="version"):

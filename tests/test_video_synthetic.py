@@ -1,16 +1,20 @@
 """Tests for synthetic world building."""
 
+import pickle
+
 import numpy as np
 import pytest
 
 from repro.errors import DatasetError
+from repro.theory.instances import lognormal_durations
+from repro.video.datasets import DATASET_BUILDERS, make_dataset
 from repro.video.synthetic import (
     ClassSpec,
     ObjectInstance,
-    SyntheticWorld,
+    SyntheticWorldBuilder,
     build_world,
 )
-from repro.video.geometry import BoundingBox
+from repro.video.geometry import BoundingBox, interpolate
 from repro.video.video import Video, VideoRepository
 
 from tests.conftest import make_tiny_dataset
@@ -161,15 +165,15 @@ class TestWorldQueries:
 
     def test_count_of_unknown_class(self, world):
         assert world.count_of("unicorn") == 0
+        assert world.instances_of("unicorn") == []
 
-    def test_uid_order_enforced(self, repo):
-        inst = ObjectInstance(
-            uid=5, class_name="car", video=0, start=0, end=10,
-            entry_box=BoundingBox(0, 0, 1, 1), exit_box=BoundingBox(0, 0, 1, 1),
-            global_start=0,
-        )
-        with pytest.raises(DatasetError):
-            SyntheticWorld(repo, [inst])
+    def test_instances_are_cached_views(self, world):
+        """Asking for one uid twice returns the same object, whichever
+        accessor asks."""
+        dog = world.instances_of("dog")[0]
+        assert world.instances[dog.uid] is dog
+        video, frame = dog.video, dog.start
+        assert any(inst is dog for inst in world.visible(video, frame))
 
 
 class TestVectorisedVisibility:
@@ -185,19 +189,18 @@ class TestVectorisedVisibility:
 
     def test_visible_at_matches_interval_test(self):
         """The segment table agrees with a brute-force interval test,
-        pair by pair, in ``_video_index`` order."""
+        pair by pair, in ``video_order``."""
         world = make_tiny_dataset(seed=21).world
+        arrays = world.instance_arrays()
         rng = np.random.default_rng(5)
         videos = rng.choice([0, 1, 99], size=500, p=[0.45, 0.45, 0.1])
         frames = rng.integers(-20, 1220, size=500)
         want_flat = []
         want_counts = []
         for video, frame in zip(videos.tolist(), frames.tolist()):
-            index = world._video_index.get(video)
-            uids = []
-            if index is not None:
-                starts, ends, ids = index
-                uids = ids[(starts <= frame) & (frame < ends)].tolist()
+            ids = arrays.video_order[arrays.videos[arrays.video_order] == video]
+            starts, ends = arrays.starts[ids], arrays.ends[ids]
+            uids = ids[(starts <= frame) & (frame < ends)].tolist()
             want_flat.extend(uids)
             want_counts.append(len(uids))
         assert min(frames) < 0 and max(frames) >= 1200 and sum(want_counts) > 0
@@ -225,3 +228,192 @@ class TestVectorisedVisibility:
                 [world.instances[int(u)].box_at(frame).as_array() for u in uids]
             )
             assert np.allclose(got, want)
+
+
+# -- the per-instance reference builder ---------------------------------------
+
+
+def _reference_trajectory(repository, spec, rng, video):
+    """One instance's entry and exit boxes, eight scalar draws."""
+    meta = repository.videos[video]
+    width, height = float(meta.width), float(meta.height)
+    lo, hi = spec.size_range
+    size_entry = rng.uniform(lo, hi)
+    size_exit = size_entry * rng.uniform(0.6, 1.6)
+    aspect = rng.uniform(0.5, 1.5)
+
+    def sample_box(size):
+        w = size * aspect
+        h = size
+        cx = rng.uniform(w / 2, max(width - w / 2, w / 2 + 1))
+        cy = rng.uniform(h / 2, max(height - h / 2, h / 2 + 1))
+        return BoundingBox(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2)
+
+    entry = sample_box(size_entry)
+    drift = rng.uniform(0.1, 0.9)
+    target = sample_box(size_exit)
+    exit_ = interpolate(entry, target, drift).clipped(width, height)
+    return entry.clipped(width, height), exit_
+
+
+def _reference_place_class(builder, spec, rng, next_uid):
+    """One class's instances, one object and eight scalar draws each."""
+    if spec.count == 0:
+        return
+    repository = builder.repository
+    mids = builder._midpoints(spec, rng, repository.total_frames)
+    fps = repository.common_fps()
+    durations = lognormal_durations(
+        spec.count, spec.mean_duration_s * fps, rng, spec.duration_sigma_log
+    ).astype(np.int64)
+    durations = np.maximum(durations, 2)
+    for offset in range(spec.count):
+        video, frame = repository.locate(int(mids[offset]))
+        video_frames = repository.videos[video].num_frames
+        duration = min(int(durations[offset]), video_frames)
+        start = int(np.clip(frame - duration // 2, 0, video_frames - duration))
+        entry, exit_ = _reference_trajectory(repository, spec, rng, video)
+        yield ObjectInstance(
+            uid=next_uid + offset,
+            class_name=spec.name,
+            video=video,
+            start=start,
+            end=start + duration,
+            entry_box=entry,
+            exit_box=exit_,
+            global_start=repository.global_index(video, start),
+        )
+
+
+def reference_columns(builder):
+    """The world ``builder`` describes, built one instance at a time.
+
+    The builder the columnar one replaced: an :class:`ObjectInstance`
+    per instance, then columns gathered object by object, and a
+    per-video index of uids sorted by an unstable ``argsort`` of that
+    video's starts in uid order.
+    """
+    instances = []
+    for spec in builder._specs:
+        rng = builder.rngs.stream("class", spec.name)
+        instances.extend(_reference_place_class(builder, spec, rng, len(instances)))
+    class_names = tuple(sorted({inst.class_name for inst in instances}))
+    n = len(instances)
+    columns = {
+        "starts": np.array([i.start for i in instances], dtype=np.int64),
+        "ends": np.array([i.end for i in instances], dtype=np.int64),
+        "entry": np.empty((n, 4), dtype=float),
+        "exit": np.empty((n, 4), dtype=float),
+        "class_codes": np.array(
+            [class_names.index(i.class_name) for i in instances], dtype=np.int64
+        ),
+        "videos": np.array([i.video for i in instances], dtype=np.int64),
+        "global_starts": np.array([i.global_start for i in instances], dtype=np.int64),
+    }
+    for row, inst in enumerate(instances):
+        columns["entry"][row] = inst.entry_box.as_array()
+        columns["exit"][row] = inst.exit_box.as_array()
+    per_video = {}
+    for inst in instances:
+        per_video.setdefault(inst.video, []).append(inst.uid)
+    order = [np.zeros(0, dtype=np.int64)]
+    for video in sorted(per_video):
+        ids = np.array(per_video[video], dtype=np.int64)
+        starts = np.array([instances[i].start for i in ids], dtype=np.int64)
+        order.append(ids[np.argsort(starts)])
+    columns["video_order"] = np.concatenate(order)
+    return columns, class_names
+
+
+def _recording_builds(monkeypatch):
+    """Record every builder that builds a world while the patch is on."""
+    builders = []
+    build = SyntheticWorldBuilder.build
+
+    def recording_build(self):
+        builders.append(self)
+        return build(self)
+
+    monkeypatch.setattr(SyntheticWorldBuilder, "build", recording_build)
+    return builders
+
+
+def assert_matches_reference(world, builder):
+    """Every column byte-equal (dtype included) to the reference build."""
+    want, class_names = reference_columns(builder)
+    arrays = world.instance_arrays()
+    assert arrays.class_names == class_names
+    for name, expected in want.items():
+        got = getattr(arrays, name)
+        assert got.dtype == expected.dtype, name
+        assert got.shape == expected.shape, name
+        assert got.tobytes() == expected.tobytes(), name
+    assert arrays.durations.tobytes() == (want["ends"] - want["starts"]).tobytes()
+
+
+class TestColumnarBuilderMatchesReference:
+    """The columnar builder draws and computes what the per-instance one did."""
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("scale", [0.02, 0.05])
+    @pytest.mark.parametrize("name", sorted(DATASET_BUILDERS))
+    def test_datasets(self, monkeypatch, name, scale, seed):
+        builders = _recording_builds(monkeypatch)
+        world = make_dataset(name, scale=scale, seed=seed).world
+        assert len(builders) == 1 and world.num_instances > 0
+        assert_matches_reference(world, builders[0])
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_every_skew_kind_and_a_zero_count_class(self, monkeypatch, seed):
+        """Mixed frame sizes, a video shorter than many durations, boxes
+        larger than a frame, a repeated class name and an empty class."""
+        repo = VideoRepository(
+            [
+                Video("wide", 2400, fps=30, width=1920, height=1080),
+                Video("short", 45, fps=30, width=320, height=240),
+                Video("small", 1800, fps=15, width=640, height=360),
+            ]
+        )
+        specs = [
+            ClassSpec("car", 60, 4.0),
+            ClassSpec("bus", 25, 6.0, skew=("normal", 0.3), size_range=(200.0, 700.0)),
+            ClassSpec("dog", 0, 2.0, skew=("hotspots", 3, 0.2)),
+            ClassSpec("person", 40, 1.5, skew=("hotspots", 3, 0.2)),
+            ClassSpec("car", 15, 2.0, skew=("normal", 0.9)),
+        ]
+        builders = _recording_builds(monkeypatch)
+        world = build_world(repo, specs, seed=seed)
+        assert world.class_names() == ["bus", "car", "person"]
+        assert world.count_of("dog") == 0 and world.count_of("car") == 75
+        assert_matches_reference(world, builders[0])
+
+    def test_no_classes(self, repo):
+        world = build_world(repo, [], seed=3)
+        assert world.num_instances == 0 and world.class_names() == []
+        flat, counts = world.visible_at([0, 1], [0, 10])
+        assert flat.size == 0 and counts.tolist() == [0, 0]
+
+
+def test_by_value_pickle_round_trip():
+    """A world pickled by value carries its columns, not instance objects,
+    and answers every query as before."""
+    world = make_dataset("dashcam", scale=0.02, seed=0).world
+    rng = np.random.default_rng(3)
+    videos = rng.integers(0, world.repository.num_videos, size=300)
+    frames = rng.integers(0, world.repository.videos[0].num_frames, size=300)
+    before = world.visible_at(videos, frames)
+    assert world.instances[0] is world.instances[0]
+    blob = pickle.dumps(world, protocol=pickle.HIGHEST_PROTOCOL)
+    assert b"ObjectInstance" not in blob
+    clone = pickle.loads(blob)
+    assert clone._visibility is None
+    got, want = clone.instance_arrays(), world.instance_arrays()
+    assert got.class_names == want.class_names
+    for name, column in want.columns().items():
+        assert getattr(got, name).dtype == column.dtype, name
+        assert getattr(got, name).tobytes() == column.tobytes(), name
+    assert clone.content_digest() == world.content_digest()
+    assert list(clone.instances) == list(world.instances)
+    after = clone.visible_at(videos, frames)
+    assert after[0].tolist() == before[0].tolist()
+    assert after[1].tolist() == before[1].tolist()
