@@ -43,8 +43,12 @@ class RandomSearcher(Searcher):
             total = remaining.sum()
             if total <= 0:
                 break
-            probs = remaining / total
-            chunk = int(self._chunk_rng.choice(remaining.size, p=probs))
+            # The inverse-cdf draw Generator.choice(size, p=probs) runs
+            # internally, without its argument checks: the same chunk
+            # from the same single random() draw.
+            cdf = (remaining / total).cumsum()
+            cdf /= cdf[-1]
+            chunk = int(cdf.searchsorted(self._chunk_rng.random(), side="right"))
             picks.append((chunk, self._orders.next(chunk)))
         return picks
 

@@ -8,7 +8,10 @@ The state update on lines 11-12 of Algorithm 1 is
 Both updates are additive, which is what makes the batched variant of §III-F
 correct: updates from a batch of frames commute, so they can be applied in
 any order (or summed and applied at once). :meth:`ChunkStatistics.apply_batch`
-exploits exactly that property and tests assert the equivalence.
+applies a batch pick by pick in plain Python, O(picks) with no array set-up
+(a step of Algorithm 1 holds one pick, a batch a few), and checks only the
+touched chunk for over-sampling; tests assert it equals sequential
+:meth:`~ChunkStatistics.record` calls.
 """
 
 from __future__ import annotations
@@ -74,33 +77,24 @@ class ChunkStatistics:
         self._check_chunk(chunk)
         if d0 < 0 or d1 < 0:
             raise ConfigError("d0/d1 counts must be non-negative")
-        if self.remaining[chunk] <= 0:
+        taken = self.n[chunk] + 1
+        if taken > self.sizes[chunk]:
             raise ConfigError(f"chunk {chunk} is exhausted; cannot record a sample")
         self.n1[chunk] += d0 - d1
-        self.n[chunk] += 1
+        self.n[chunk] = taken
 
-    def apply_batch(self, chunks: np.ndarray, d0s: np.ndarray, d1s: np.ndarray) -> None:
+    def apply_batch(self, chunks, d0s, d1s) -> None:
         """Apply many updates at once (batched sampling, §III-F).
 
         All updates are additive, hence commutative; this is equivalent to
-        calling :meth:`record` once per element in any order.
+        calling :meth:`record` once per element (lists or 1-D arrays).
         """
-        chunks = np.asarray(chunks, dtype=np.int64)
-        d0s = np.asarray(d0s, dtype=float)
-        d1s = np.asarray(d1s, dtype=float)
-        if not (chunks.shape == d0s.shape == d1s.shape):
+        if not len(chunks) == len(d0s) == len(d1s):
             raise ConfigError("batch arrays must share a shape")
-        np.add.at(self.n1, chunks, d0s - d1s)
-        np.add.at(self.n, chunks, 1)
-        if np.any(self.n > self.sizes):
-            raise ConfigError("batch update sampled more frames than a chunk holds")
+        for chunk, d0, d1 in zip(chunks, d0s, d1s, strict=False):  # lengths checked
+            self.record(chunk, d0, d1)
 
-    def apply_credit_batch(
-        self,
-        chunks: np.ndarray,
-        d0s: np.ndarray,
-        origin_lists: "list[list[int]]",
-    ) -> None:
+    def apply_credit_batch(self, chunks, d0s, origin_lists) -> None:
         """Origin-credited update (the footnote-1 / tech-report variant).
 
         Each processed frame increments ``n`` and adds its ``d0`` to the
@@ -108,19 +102,17 @@ class ChunkStatistics:
         where the matched object was first discovered. When origins always
         point at the chunk of first discovery, every per-chunk N1 stays
         non-negative (the +1 always precedes its -1 on the same counter).
+        With every origin equal to the sampled chunk this is
+        :meth:`apply_batch`.
         """
-        chunks = np.asarray(chunks, dtype=np.int64)
-        d0s = np.asarray(d0s, dtype=float)
-        if chunks.shape != d0s.shape or len(origin_lists) != chunks.size:
+        if not len(chunks) == len(d0s) == len(origin_lists):
             raise ConfigError("credit batch arrays must align")
-        np.add.at(self.n1, chunks, d0s)
-        np.add.at(self.n, chunks, 1)
-        for origins in origin_lists:
+        n1 = self.n1
+        for chunk, d0, origins in zip(chunks, d0s, origin_lists, strict=False):
+            self.record(chunk, d0, 0)
             for origin in origins:
-                self._check_chunk(int(origin))
-                self.n1[int(origin)] -= 1.0
-        if np.any(self.n > self.sizes):
-            raise ConfigError("batch update sampled more frames than a chunk holds")
+                self._check_chunk(origin)
+                n1[origin] -= 1.0
 
     def _check_chunk(self, chunk: int) -> None:
         if not 0 <= chunk < self.num_chunks:

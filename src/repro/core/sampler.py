@@ -660,8 +660,8 @@ class ExSampleSearcher(Searcher):
         return picks
 
     def update(self, picks, observations) -> None:
-        chunks = np.array([c for c, _ in picks], dtype=np.int64)
-        d0s = np.array([o.d0 for o in observations], dtype=float)
+        chunks = [chunk for chunk, _ in picks]
+        d0s = [o.d0 for o in observations]
         if self.config.cross_chunk == "origin":
             # Footnote-1 adjustment: each d1 decrement is charged to the
             # chunk that first discovered the object. Observations lacking
@@ -674,8 +674,7 @@ class ExSampleSearcher(Searcher):
             ]
             self.stats.apply_credit_batch(chunks, d0s, origins)
         else:
-            d1s = np.array([o.d1 for o in observations], dtype=float)
-            self.stats.apply_batch(chunks, d0s, d1s)
+            self.stats.apply_batch(chunks, d0s, [o.d1 for o in observations])
 
 
 @register_searcher(

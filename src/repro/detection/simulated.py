@@ -36,9 +36,13 @@ Only the random draws stay in the per-frame loop: each frame re-keys a
 shared generator on ``(seed, video, frame)`` and draws, in order, one
 uniform per visible instance (the miss test), a 4-vector of jitter and a
 score per kept instance, the Poisson false-positive count and the false
-positives' own variates. After the loop the requested class is selected,
-its rows are jittered and clipped to their frames in one pass, and only
-then are :class:`~repro.detection.detections.Detection` objects built.
+positives' own variates. The re-key offsets a per-video stream base, a
+blake2b digest of ``(seed, "detect", video)``; that base and the video's
+frame bounds are computed once per detector, on the video's first frame,
+so a one-frame call pays for neither. After the loop the requested class
+is selected (skipped when no row was kept), its rows are jittered and
+clipped to their frames in one pass, and only then are
+:class:`~repro.detection.detections.Detection` objects built.
 Since every draw is keyed per frame and consumed in a fixed order, no
 output depends on how frames are grouped into calls (``detect`` and
 ``detect_batch`` agree exactly) or on the class filter.
@@ -137,8 +141,8 @@ class SimulatedDetector:
     The world's visibility table is built lazily, on the first call that
     needs it, without a lock: two threads that race build equal tables.
     Session checkpoints embed the detector, so it pickles without the
-    lock and the thread-local, and recreates both on restore (the world
-    sheds its table when pickled by value).
+    lock, the thread-local and the per-video memo, and recreates them on
+    restore (the world sheds its table when pickled by value).
 
     This class is also the seam for a *real* detector backend (GPU/ONNX,
     an EKO-style compressed-video model): any object with the same
@@ -178,6 +182,8 @@ class SimulatedDetector:
         # detect()/detect_batch() may race from worker threads; unguarded
         # `+=` would lose counts.
         self._count_lock = threading.Lock()
+        # video -> (stream base, frame bounds), derived on first use.
+        self._per_video: dict = {}
 
     @property
     def _frame_rng(self) -> TransientRng:
@@ -197,15 +203,18 @@ class SimulatedDetector:
     def __getstate__(self) -> dict:
         state = dict(self.__dict__)
         # threading primitives do not pickle; both are recreated fresh on
-        # restore (counters themselves travel — they are plain ints).
+        # restore (counters themselves travel — they are plain ints), as
+        # is the derived per-video memo, so checkpoints never carry it.
         del state["_rng_local"]
         del state["_count_lock"]
+        del state["_per_video"]
         return state
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
         self._rng_local = threading.local()
         self._count_lock = threading.Lock()
+        self._per_video = {}
 
     def cache_scope(self) -> str:
         """Stable identity of this detector's output function.
@@ -243,6 +252,9 @@ class SimulatedDetector:
         same underlying detections regardless of which query asks.
         """
         self._charge(1)
+        # Plain ints, as in detect_batch: the stream base digests the
+        # video's repr, and the per-video memo must not alias int types.
+        video, frame = int(video), int(frame)
         cache = self.cache
         if cache is None:
             return self._generate([video], [frame], class_filter)[0]
@@ -344,14 +356,14 @@ class SimulatedDetector:
         """
         world = self.world
         profile = self.profile
-        # Stream bases and frame bounds per video, in order of first use.
-        bases = {}
-        bounds = {}
-        for video in dict.fromkeys(videos):
-            meta = world.repository.videos[video]
-            width, height = float(meta.width), float(meta.height)
-            bases[video] = digest_keys(self.seed, "detect", video)
-            bounds[video] = (width, height, width, height)
+        # Stream base and (w, h, w, h) bounds per video, memoised: the
+        # blake2b digest alone costs more than a one-frame draw.
+        per_video = self._per_video
+        for video in videos:
+            if video not in per_video:
+                meta = world.repository.videos[video]
+                bounds = (float(meta.width), float(meta.height)) * 2
+                per_video[video] = (digest_keys(self.seed, "detect", video), bounds)
         uids, counts = world.visible_at(videos, frames)
         if uids.size:  # boxes, sizes and miss_p are read only for visible rows
             boxes = world.boxes_at(
@@ -376,7 +388,8 @@ class SimulatedDetector:
         for i, (video, frame, count) in enumerate(
             zip(videos, frames, counts.tolist(), strict=True)
         ):
-            rng = seeded_offset(bases[video], frame)
+            base, bounds = per_video[video]
+            rng = seeded_offset(base, frame)
             if count:
                 start, end = end, end + count
                 kept = np.count_nonzero(
@@ -391,21 +404,22 @@ class SimulatedDetector:
             if fp_rate > 0:
                 fp_count = int(rng.poisson(fp_rate))
                 if fp_count:
-                    width, height = bounds[video][:2]
+                    width, height = bounds[:2]
                     spurious = self._false_positives(video, frame, rng, fp_count, width, height)
                     false_positives.append((i, spurious))
 
         out: List[List[Detection]] = [[] for _ in frames]
-        arrays = world.instance_arrays()
-        names = arrays.class_names
         rows = keep.nonzero()[0]
-        codes = arrays.class_codes[uids[rows]]
-        chosen = slice(None)
-        if class_filter is not None:
-            chosen = codes == (
-                names.index(class_filter) if class_filter in names else -1
-            )
-            rows, codes = rows[chosen], codes[chosen]
+        if rows.size:
+            arrays = world.instance_arrays()
+            names = arrays.class_names
+            codes = arrays.class_codes[uids[rows]]
+            chosen = slice(None)
+            if class_filter is not None:
+                chosen = codes == (
+                    names.index(class_filter) if class_filter in names else -1
+                )
+                rows, codes = rows[chosen], codes[chosen]
         if rows.size:
             scores = np.concatenate(score_parts)[chosen]
             picked = boxes[rows]
@@ -419,7 +433,7 @@ class SimulatedDetector:
                 np.minimum(moved[:, :2], moved[:, 2:], out=picked[:, :2])
                 np.maximum(moved[:, :2], moved[:, 2:], out=picked[:, 2:])
             pair_of_row = counts.cumsum().searchsorted(rows, side="right")
-            upper = np.array([bounds[video] for video in videos])
+            upper = np.array([per_video[video][1] for video in videos])
             np.minimum(picked, upper[pair_of_row], out=picked)
             np.maximum(picked, _ORIGIN, out=picked)
             for pair, (x1, y1, x2, y2), code, score, uid in zip(

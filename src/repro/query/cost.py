@@ -15,8 +15,6 @@ random-access cost.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.video.decoder import SimulatedDecoder
 
@@ -51,25 +49,6 @@ class CostModel:
         # The detector-fps figure is end-to-end; in detailed mode we treat
         # the published rate as detector-only and add decode explicitly.
         return decode + 1.0 / self.detector_fps
-
-    def sample_costs(self, videos, frames) -> np.ndarray:
-        """Vectorised :meth:`sample_cost` over aligned index arrays.
-
-        In the default (non-detailed) mode every frame costs the same, so
-        the whole batch resolves to one ``np.full``; detailed mode falls
-        back to the per-frame decoder model.
-        """
-        frames = np.asarray(frames, dtype=np.int64)
-        if not self.detailed:
-            return np.full(frames.shape, 1.0 / self.detector_fps, dtype=float)
-        videos = np.asarray(videos, dtype=np.int64)
-        return np.array(
-            [
-                self.sample_cost(int(video), int(frame))
-                for video, frame in zip(videos, frames, strict=True)
-            ],
-            dtype=float,
-        )
 
     def scan_cost(self, num_frames: int) -> float:
         """Seconds for a sequential proxy-scoring scan over ``num_frames``."""

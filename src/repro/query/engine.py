@@ -235,28 +235,22 @@ class VideoSearchEnvironment:
     def propose_batch(self, picks) -> FrameRequest:
         """Resolve picks into a detector-facing request without detecting.
 
-        Address translation and cost lookup resolve in a handful of numpy
-        operations for the whole batch; no detector or discriminator state
-        is touched, so any number of sessions can hold proposed requests
-        simultaneously while a serving layer fuses their detection.
+        Each pick is translated and costed on its own, in plain Python: a
+        step holds one pick or a few, for which per-call array set-up
+        would cost more than the picks. No detector or discriminator
+        state is touched, so any number of sessions can hold proposed
+        requests simultaneously while a serving layer fuses their
+        detection.
         """
         picks = list(picks)
-        if not picks:
-            return FrameRequest([], [], [], self.class_name, context=[])
-        chunks_arr = np.fromiter(
-            (chunk for chunk, _ in picks), dtype=np.int64, count=len(picks)
-        )
-        withins_arr = np.fromiter(
-            (frame for _, frame in picks), dtype=np.int64, count=len(picks)
-        )
-        videos_arr, vframes_arr = self.dataset.chunk_map.to_video_frame_batch(
-            chunks_arr, withins_arr
-        )
-        # tolist() bulk-converts to Python ints/floats in one call — the
-        # scalar coercion that would otherwise dominate the batch path.
-        videos = videos_arr.tolist()
-        vframes = vframes_arr.tolist()
-        costs = self.cost_model.sample_costs(videos_arr, vframes_arr).tolist()
+        to_video_frame = self.dataset.chunk_map.to_video_frame
+        sample_cost = self.cost_model.sample_cost
+        videos, vframes, costs = [], [], []
+        for chunk, within in picks:
+            video, vframe = to_video_frame(chunk, within)
+            videos.append(video)
+            vframes.append(vframe)
+            costs.append(sample_cost(video, vframe))
         return FrameRequest(
             picks=picks,
             videos=videos,

@@ -76,21 +76,29 @@ class ChunkMap:
     def sizes(self) -> np.ndarray:
         return self._sizes
 
-    def to_video_frame(self, chunk: int, within: int) -> Tuple[int, int]:
-        """Translate (chunk, within-chunk frame) to (video, frame)."""
-        c = self.chunks[chunk]
-        if not 0 <= within < c.size:
+    def _chunk(self, chunk: int, within: int) -> Chunk:
+        """The chunk of ``(chunk, within)``; a negative ``chunk`` is an error."""
+        chunks = self.chunks
+        if not 0 <= chunk < len(chunks):
+            raise ChunkingError(f"chunk index {chunk} out of range [0, {len(chunks)})")
+        c = chunks[chunk]
+        if not 0 <= within < c.end - c.start:
             raise ChunkingError(f"frame {within} outside chunk of size {c.size}")
-        return c.video, c.start + within
+        return c
+
+    def to_video_frame(self, chunk: int, within: int) -> Tuple[int, int]:
+        """Translate (chunk, within-chunk frame) to plain-int (video, frame)."""
+        c = self._chunk(chunk, within)
+        return c.video, c.start + int(within)
 
     def to_video_frame_batch(
         self, chunks: np.ndarray, withins: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`to_video_frame` over aligned index arrays.
 
-        Returns ``(videos, frames)`` arrays; one searcher batch is resolved
-        in a handful of numpy operations instead of one Python call per
-        pick.
+        Returns ``(videos, frames)`` arrays; a whole recorded trace is
+        resolved in a handful of numpy operations (a searcher step, of a
+        few picks, is cheaper through per-pick calls).
         """
         chunks = np.asarray(chunks, dtype=np.int64)
         withins = np.asarray(withins, dtype=np.int64)
@@ -104,10 +112,8 @@ class ChunkMap:
 
     def to_global(self, chunk: int, within: int) -> int:
         """Translate (chunk, within) to the repository-global frame index."""
-        c = self.chunks[chunk]
-        if not 0 <= within < c.size:
-            raise ChunkingError(f"frame {within} outside chunk of size {c.size}")
-        return int(self._global_starts[chunk]) + within
+        self._chunk(chunk, within)
+        return int(self._global_starts[chunk]) + int(within)
 
     def global_bounds(self) -> np.ndarray:
         """Chunk boundaries in global frame coordinates (length M+1).

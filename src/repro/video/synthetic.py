@@ -378,7 +378,11 @@ class SyntheticWorld:
         arrays = self._arrays
         starts = arrays.starts[uids]
         denom = np.maximum(arrays.durations[uids] - 1, 1)
-        t = np.clip((frame - starts) / denom, 0.0, 1.0)
+        # Clamped to [0, 1] in place: np.clip's Python wrapper costs more
+        # than the arithmetic at the few rows of a one-frame call.
+        t = (frame - starts) / denom
+        np.maximum(t, 0.0, out=t)
+        np.minimum(t, 1.0, out=t)
         entry = arrays.entry[uids]
         return entry + (arrays.exit[uids] - entry) * t[:, None]
 

@@ -1,5 +1,7 @@
 """Tests for the baseline searchers."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -78,6 +80,32 @@ class TestRandomSearcher:
         searcher = RandomSearcher(env, rng=RngFactory(3), batch_size=10)
         trace = searcher.run(frame_budget=30)
         assert trace.num_samples == 30
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_chunk_draw_matches_generator_choice(self, seed):
+        """The inverse-cdf chunk draw picks what ``Generator.choice(p=...)``
+        picks and leaves the generator in the same state, including once
+        chunks run dry, so every stream is unchanged."""
+        shape = np.random.default_rng(seed)
+        sizes = shape.integers(1, 12, size=int(shape.integers(1, 70))).tolist()
+        searcher = RandomSearcher(
+            counting_env(sizes), rng=RngFactory(seed), batch_size=3
+        )
+        reference = copy.deepcopy(searcher._chunk_rng)
+        for _ in range(-(-sum(sizes) // 3)):
+            remaining = searcher._orders.remaining.copy()
+            expected = []
+            for _ in range(min(3, int(remaining.sum()))):
+                chunk = int(
+                    reference.choice(remaining.size, p=remaining / remaining.sum())
+                )
+                expected.append(chunk)
+                remaining[chunk] -= 1
+            assert [chunk for chunk, _ in searcher.pick_batch()] == expected
+            assert repr(searcher._chunk_rng.bit_generator.state) == repr(
+                reference.bit_generator.state
+            )
+        assert searcher.pick_batch() == []
 
 
 class _EagerOrders:

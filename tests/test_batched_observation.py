@@ -17,7 +17,7 @@ from repro.detection.cache import DetectionCache
 from repro.detection.simulated import SimulatedDetector
 from repro.errors import ChunkingError, DatasetError
 from repro.query.cost import CostModel
-from repro.query.engine import QueryEngine
+from repro.query.engine import QueryEngine, VideoSearchEnvironment
 from repro.theory.instances import InstancePopulation
 from repro.theory.temporal_sim import TemporalEnvironment
 from repro.tracking.discriminator import TrackDiscriminator
@@ -252,16 +252,52 @@ class TestChunkMapBatch:
             chunk_map.to_video_frame_batch(np.array([0, 1]), np.array([0]))
 
 
-class TestCostModelBatch:
-    def test_sample_costs_flat_mode(self):
-        model = CostModel()
-        costs = model.sample_costs([0, 0, 1], [5, 6, 7])
-        assert costs.shape == (3,)
-        assert np.allclose(costs, 1.0 / model.detector_fps)
+class TestProposeBatch:
+    @pytest.mark.parametrize("detailed", [False, True])
+    def test_matches_vectorised_translation(self, engine, detailed):
+        """Per-pick translation equals the whole-trace array path, and the
+        request holds plain ints and floats even for numpy-int picks."""
+        env = VideoSearchEnvironment(
+            dataset=engine.dataset,
+            detector=engine.detector,
+            discriminator=TrackDiscriminator(engine.dataset.world, seed=0),
+            cost_model=CostModel(detailed=detailed, decoder=SimulatedDecoder()),
+            class_name="car",
+        )
+        picks = [
+            (np.int64(c), f) if i % 3 == 0 else (c, np.int64(f)) if i % 3 == 1
+            else (c, f)
+            for i, (c, f) in enumerate(_picks(engine.dataset, 300, seed=5))
+        ]
+        request = env.propose_batch(picks)
+        videos, frames = engine.dataset.chunk_map.to_video_frame_batch(
+            np.array([c for c, _ in picks]), np.array([f for _, f in picks])
+        )
+        assert request.picks == picks
+        assert request.videos == videos.tolist()
+        assert request.frames == frames.tolist()
+        assert request.context == [
+            env.cost_model.sample_cost(v, f)
+            for v, f in zip(videos.tolist(), frames.tolist())
+        ]
+        assert {type(x) for x in request.videos + request.frames} == {int}
+        assert {type(cost) for cost in request.context} == {float}
+        assert request.class_filter == "car"
 
-    def test_sample_costs_detailed_mode(self):
-        model = CostModel(detailed=True, decoder=SimulatedDecoder())
-        frames = [0, 19, 20, 399]
-        costs = model.sample_costs([0] * 4, frames)
-        expected = [model.sample_cost(0, f) for f in frames]
-        assert np.allclose(costs, expected)
+    def test_empty(self, engine):
+        request = engine.environment("car").propose_batch([])
+        assert (request.picks, request.videos, request.frames) == ([], [], [])
+        assert request.context == []
+
+    def test_out_of_range_picks_are_typed(self, engine):
+        env = engine.environment("car")
+        chunk_map = engine.dataset.chunk_map
+        last = chunk_map.num_chunks - 1
+        for bad in (
+            (-1, 0),
+            (chunk_map.num_chunks, 0),
+            (0, -1),
+            (last, int(chunk_map.sizes()[last])),
+        ):
+            with pytest.raises(ChunkingError):
+                env.propose_batch([(0, 0), bad])

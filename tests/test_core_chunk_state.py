@@ -71,25 +71,49 @@ class TestBatchEquivalence:
                 st.integers(min_value=0, max_value=3),
                 st.integers(min_value=0, max_value=4),
                 st.integers(min_value=0, max_value=4),
+                st.lists(st.integers(min_value=0, max_value=3), max_size=4),
             ),
-            min_size=1,
             max_size=40,
-        )
+        ),
+        st.booleans(),
     )
-    @settings(max_examples=60)
-    def test_batch_equals_sequential(self, updates):
-        """§III-F: batched updates are commutative = identical final state."""
+    @settings(max_examples=80)
+    def test_batch_equals_sequential(self, updates, as_arrays):
+        """§III-F: batched updates are commutative = identical final state.
+
+        Both batch updates equal one :meth:`record` per pick, with
+        duplicate chunks in a batch, d1 > d0, and list or array inputs."""
         sizes = [50, 50, 50, 50]
         sequential = ChunkStatistics(sizes)
-        for chunk, d0, d1 in updates:
+        for chunk, d0, d1, _ in updates:
             sequential.record(chunk, d0, d1)
+        chunks = [u[0] for u in updates]
+        d0s = [u[1] for u in updates]
+        d1s = [u[2] for u in updates]
+        if as_arrays:
+            chunks = np.array(chunks, dtype=np.int64)
+            d0s, d1s = np.array(d0s, dtype=float), np.array(d1s, dtype=float)
         batched = ChunkStatistics(sizes)
-        chunks = np.array([u[0] for u in updates])
-        d0s = np.array([u[1] for u in updates], dtype=float)
-        d1s = np.array([u[2] for u in updates], dtype=float)
         batched.apply_batch(chunks, d0s, d1s)
-        assert np.array_equal(sequential.n, batched.n)
-        assert np.allclose(sequential.n1, batched.n1)
+        # Crediting every d1 to the sampled chunk is the plain update.
+        credited = ChunkStatistics(sizes)
+        credited.apply_credit_batch(
+            chunks, d0s, [[u[0]] * u[2] for u in updates]
+        )
+        for stats in (batched, credited):
+            assert stats.n.tolist() == sequential.n.tolist()
+            assert stats.n1.tolist() == sequential.n1.tolist()
+
+        # Any origins: n follows the sampled chunks, each origin loses one.
+        anywhere = ChunkStatistics(sizes)
+        anywhere.apply_credit_batch(chunks, d0s, [u[3] for u in updates])
+        expected_n1 = [0.0] * 4
+        for chunk, d0, _, origins in updates:
+            expected_n1[chunk] += d0
+            for origin in origins:
+                expected_n1[origin] -= 1
+        assert anywhere.n.tolist() == sequential.n.tolist()
+        assert anywhere.n1.tolist() == expected_n1
 
     def test_batch_order_irrelevant(self):
         sizes = [10, 10]
@@ -109,6 +133,28 @@ class TestBatchEquivalence:
             stats.apply_batch(
                 np.array([0, 0]), np.zeros(2), np.zeros(2)
             )
+
+    @pytest.mark.parametrize("credit", [False, True])
+    def test_oversampling_touched_chunk_rejected(self, credit):
+        """The over-sampling check runs on each pick's own chunk: filling a
+        chunk exactly is fine, one more pick of it raises."""
+        stats = ChunkStatistics([2, 5, 3])
+
+        def apply(chunks):
+            zeros = [0] * len(chunks)
+            if credit:
+                stats.apply_credit_batch(chunks, zeros, [[] for _ in chunks])
+            else:
+                stats.apply_batch(chunks, zeros, zeros)
+
+        apply([0, 1, 0])
+        assert stats.n.tolist() == [2, 1, 0]
+        with pytest.raises(ConfigError, match="chunk 0 is exhausted"):
+            apply([2, 0])
+        with pytest.raises(ConfigError, match="out of range"):
+            apply([3])
+        with pytest.raises(ConfigError, match="out of range"):
+            apply([-1])
 
     def test_batch_shape_mismatch(self):
         stats = ChunkStatistics([5])

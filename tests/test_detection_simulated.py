@@ -1,5 +1,8 @@
 """Tests for the simulated object detector."""
 
+import pickle
+
+import numpy as np
 import pytest
 
 from repro.detection.detections import Detection, filter_class, filter_score
@@ -17,6 +20,13 @@ from tests.conftest import make_tiny_dataset
 @pytest.fixture(scope="module")
 def dataset():
     return make_tiny_dataset(seed=3)
+
+
+def _detections(detections):
+    return [
+        (d.video, d.frame, d.box, d.class_name, d.score, d.instance_uid)
+        for d in detections
+    ]
 
 
 class TestDeterminism:
@@ -130,6 +140,36 @@ class TestInterface:
         detector.detect(0, 0)
         detector.detect(0, 1)
         assert detector.frames_processed == 2
+
+    def test_pickle_never_carries_per_video_memo(self, dataset):
+        """Per-video constants are memoised on first use but derived, so a
+        detector that has detected pickles to the same bytes as before its
+        first call (counters aside), and a restored one detects alike."""
+        detector = SimulatedDetector(dataset.world, seed=0)
+        before = pickle.dumps(detector)
+        videos = list(range(dataset.world.repository.num_videos))
+        detector.detect_batch(videos * 3, [0, 50, 100] * len(videos))
+        detector.detect(videos[-1], 7, class_filter="car")
+        assert len(detector._per_video) == len(videos)
+        detector.frames_processed = detector.detect_calls = 0
+        assert pickle.dumps(detector) == before
+
+        restored = pickle.loads(before)
+        for video in videos:
+            for frame in range(0, 600, 43):
+                assert _detections(restored.detect(video, frame)) == _detections(
+                    detector.detect(video, frame)
+                )
+
+    def test_detect_coerces_numpy_ints(self, dataset):
+        """detect() keys its stream on plain ints, as detect_batch does."""
+        detector = SimulatedDetector(dataset.world, seed=0)
+        for frame in range(0, 600, 29):
+            numpy_first = detector.detect(np.int64(0), np.int64(frame))
+            assert _detections(numpy_first) == _detections(
+                detector.detect_batch([0], [frame])[0]
+            )
+            assert {type(d.frame) for d in numpy_first} <= {int}
 
     def test_profile_validation(self):
         with pytest.raises(ConfigError):

@@ -91,6 +91,23 @@ class TestChunkMap:
         with pytest.raises(ChunkingError):
             cmap.chunk_of_global(respository_frame := repo.total_frames)
 
+    @pytest.mark.parametrize("chunk", [-1, -5, 5, 6, np.int64(-1), np.int64(5)])
+    def test_chunk_index_checked(self, repo, chunk):
+        """A negative chunk does not wrap to the end of the chunk list, and
+        one past the last is a typed error, not an IndexError."""
+        cmap = FixedDurationChunker(minutes=0.5).chunk(repo)  # 5 chunks
+        with pytest.raises(ChunkingError, match="chunk index"):
+            cmap.to_video_frame(chunk, 0)
+        with pytest.raises(ChunkingError, match="chunk index"):
+            cmap.to_global(chunk, 0)
+
+    def test_translation_returns_plain_ints(self, repo):
+        cmap = FixedDurationChunker(minutes=0.5).chunk(repo)
+        video, frame = cmap.to_video_frame(np.int64(1), np.int64(10))
+        assert (type(video), type(frame)) == (int, int)
+        assert (video, frame) == (0, 310)
+        assert type(cmap.to_global(np.int64(4), np.int64(3))) is int
+
     def test_partition_must_be_exact(self, repo):
         with pytest.raises(ChunkingError):
             ChunkMap(repo, [Chunk(0, 0, 1000)])  # misses video b
