@@ -3,7 +3,8 @@
 Plain ExSample never looks at a proxy; BlazeIt scores every frame before
 returning anything. The fusion searcher sits in between: ExSample chooses
 chunks, and a chunk is only scored — paying that chunk's scan cost — after
-Thompson sampling has returned to it enough times to prove it interesting.
+Thompson sampling has returned to it enough times and it has yielded an
+object.
 Whether the trade wins depends on how expensive the detector is relative to
 the scan; this example sweeps that ratio and prints the crossover.
 

@@ -45,7 +45,7 @@ class OracleStaticSearcher(Searcher):
         self.weights = weights / weights.sum()
         self.batch_size = max(int(batch_size), 1)
         self._chunk_rng = self.rngs.stream("chunk-choice")
-        self._orders = UniformChunkOrders(self.sizes, self.rngs)
+        self._orders = UniformChunkOrders(self.sizes, self.rngs.stream("order"))
 
     def pick_batch(self) -> List[Tuple[int, int]]:
         picks: List[Tuple[int, int]] = []

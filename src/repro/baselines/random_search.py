@@ -34,7 +34,7 @@ class RandomSearcher(Searcher):
         super().__init__(env, rng)
         self.batch_size = max(int(batch_size), 1)
         self._chunk_rng = self.rngs.stream("chunk-choice")
-        self._orders = UniformChunkOrders(self.sizes, self.rngs)
+        self._orders = UniformChunkOrders(self.sizes, self.rngs.stream("order"))
 
     def pick_batch(self) -> List[Tuple[int, int]]:
         picks: List[Tuple[int, int]] = []

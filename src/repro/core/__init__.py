@@ -53,6 +53,7 @@ from repro.core.registry import (
     unregister_searcher,
 )
 from repro.core.sampler import (
+    STREAM_VERSION,
     ExSampleSearcher,
     Searcher,
     SearchRun,
@@ -75,6 +76,7 @@ __all__ = [
     "PAPER_BETA0",
     "RandomPlusOrder",
     "SEARCH_METHODS",
+    "STREAM_VERSION",
     "ScoreWeightedOrder",
     "SearchEnvironment",
     "SearchRun",

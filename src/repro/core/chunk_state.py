@@ -22,7 +22,12 @@ from repro.errors import ConfigError
 
 
 class ChunkStatistics:
-    """Vectorised (N1, n, frames_remaining) bookkeeping over M chunks."""
+    """The per-chunk (N1, n) counters of Algorithm 1 over M chunks.
+
+    Frames left per chunk are the samplers' own concern (each keeps its
+    drawn counts); here ``sizes`` only bounds ``n`` for the over-sampling
+    check.
+    """
 
     def __init__(self, chunk_sizes: "list[int] | np.ndarray"):
         sizes = np.asarray(chunk_sizes, dtype=np.int64)
@@ -37,38 +42,11 @@ class ChunkStatistics:
 
     # -- queries ---------------------------------------------------------
 
-    @property
-    def total_samples(self) -> int:
-        """Total frames sampled so far across all chunks (the global n)."""
-        return int(self.n.sum())
-
-    @property
-    def remaining(self) -> np.ndarray:
-        """Frames still unsampled per chunk."""
-        return self.sizes - self.n
-
-    @property
-    def active(self) -> np.ndarray:
-        """Mask of chunks with at least one unsampled frame."""
-        return self.remaining > 0
-
-    @property
-    def exhausted(self) -> bool:
-        """True when every frame of every chunk has been sampled."""
-        return bool(np.all(self.remaining <= 0))
-
     def point_estimates(self) -> np.ndarray:
         """R̂_j = N1_j / n_j per chunk (0 where n_j = 0)."""
         with np.errstate(divide="ignore", invalid="ignore"):
             est = np.where(self.n > 0, self.n1 / np.maximum(self.n, 1), 0.0)
         return est
-
-    def empirical_weights(self) -> np.ndarray:
-        """n_j / n: the de-facto sample allocation of §IV-A."""
-        total = self.total_samples
-        if total == 0:
-            return np.full(self.num_chunks, 1.0 / self.num_chunks)
-        return self.n / total
 
     # -- updates ---------------------------------------------------------
 

@@ -32,7 +32,6 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.errors import ConfigError, ExhaustedError
-from repro.utils.rng import RngFactory
 
 
 class FrameOrder:
@@ -104,17 +103,18 @@ class UniformChunkOrders:
 
     The repository-wide uniform baselines pick a chunk with probability
     proportional to its unpicked frames, then take that chunk's next
-    frame. Chunk ``j``'s order is seeded from ``rngs.stream("order", j)``
-    whenever it is built, so when it is built moves no random draw, and a
-    search that touches a few hundred of a thousand chunks seeds only
-    those. ``remaining`` holds the unpicked frame count of every chunk as
-    floats (the numerator of the chunk-choice probabilities), updated in
-    place by :meth:`next`.
+    frame. Every chunk's order draws from the one generator ``rng``, the
+    run's order stream, in pick order. Building an order draws nothing,
+    so when it is built moves no random draw, and a search that touches a
+    few hundred of a thousand chunks builds only those. ``remaining``
+    holds the unpicked frame count of every chunk as floats (the
+    numerator of the chunk-choice probabilities), updated in place by
+    :meth:`next`.
     """
 
-    def __init__(self, sizes: np.ndarray, rngs: RngFactory) -> None:
+    def __init__(self, sizes: np.ndarray, rng: np.random.Generator) -> None:
         self._sizes = sizes
-        self._rngs = rngs
+        self._rng = rng
         self._orders: list[Optional[UniformOrder]] = [None] * len(sizes)
         self.remaining = np.array(sizes, dtype=float)
 
@@ -122,9 +122,7 @@ class UniformChunkOrders:
         """Produce ``chunk``'s next frame."""
         order = self._orders[chunk]
         if order is None:
-            order = UniformOrder(
-                int(self._sizes[chunk]), self._rngs.stream("order", chunk)
-            )
+            order = UniformOrder(int(self._sizes[chunk]), self._rng)
             self._orders[chunk] = order
         frame = order.next()
         self.remaining[chunk] -= 1

@@ -36,6 +36,16 @@ from repro.core.registry import register_searcher
 from repro.errors import ConfigError, ExhaustedError
 from repro.utils.rng import RngFactory
 
+#: Version of a search run's random streams: the searchers' policy,
+#: chunk-choice and order streams and the discriminator's track-extension
+#: stream. Version 1 seeded a generator per chunk order and per track;
+#: version 2 gives each run one order generator and each discriminator one
+#: track-extension generator. Bump it on every deliberate stream change:
+#: the repository index keys recorded outcomes on it, so an index written
+#: under other streams never replays an outcome this code computes
+#: differently.
+STREAM_VERSION = 2
+
 
 @dataclass
 class SearchTrace:
@@ -576,6 +586,7 @@ class ExSampleSearcher(Searcher):
         self.stats = ChunkStatistics(self.sizes)
         self.policy = make_policy(config.policy, config.ucb_horizon)
         self._policy_rng = self.rngs.stream("policy")
+        self._order_rng = self.rngs.stream("order")
         # Orders are created lazily on a chunk's first draw. Drawn-frame
         # counts are tracked separately so the active mask never has to
         # instantiate an order — subclasses (the §VII fusion searcher) hook
@@ -586,11 +597,15 @@ class ExSampleSearcher(Searcher):
         self._step = 0
 
     def _make_order(self, chunk: int) -> FrameOrder:
-        """Create the within-chunk frame order for ``chunk`` (overridable)."""
+        """Create the within-chunk frame order for ``chunk`` (overridable).
+
+        Every chunk's order draws from the run's one order generator, in
+        pick order; building an order draws nothing.
+        """
         return make_order(
             self.config.within_chunk_order,
             int(self.sizes[chunk]),
-            self.rngs.stream("order", chunk),
+            self._order_rng,
         )
 
     def _order_for(self, chunk: int) -> FrameOrder:

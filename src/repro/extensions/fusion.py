@@ -13,11 +13,15 @@ predictive scoring of frames that avoids scanning [the whole dataset]".
   the paper notes);
 * within a chunk, frames start out drawn by random+ exactly as in plain
   ExSample; once ExSample has returned to the same chunk
-  ``upgrade_after`` times — evidence the chunk is worth investing in — the
-  proxy scores *that chunk only* (cost: chunk frames / scan fps, charged at
-  that moment) and the remaining draws become score-biased (Gumbel top-k
-  over score/temperature, skipping frames already sampled);
-* chunks ExSample abandons early are never scanned at all.
+  ``upgrade_after`` times and the chunk has yielded at least one new
+  object — evidence the chunk is worth investing in — the proxy scores
+  *that chunk only* (cost: chunk frames / scan fps, charged at that
+  moment) and the remaining draws become score-biased (Gumbel top-k over
+  score/temperature, skipping frames already sampled);
+* chunks ExSample abandons early, and chunks that never yield an object,
+  are never scanned at all. Returning to a chunk alone is no evidence:
+  Thompson sampling draws every chunk a few times before its belief
+  falls, so a draw-count gate alone scans the whole repository.
 
 Compared to BlazeIt-style search this replaces the mandatory full-dataset
 scan with incremental scans that follow where sampling actually
@@ -50,9 +54,11 @@ ChunkCostFn = Callable[[int], float]
 class HybridScoredOrder(FrameOrder):
     """random+ that upgrades to score-biased sampling after k draws.
 
-    The upgrade computes one Gumbel-perturbed key per frame (fixing the
-    rest of the order up front) and skips frames already emitted during
-    the random+ phase, so the whole order remains a permutation.
+    The upgrade happens at the first draw, after at least
+    ``upgrade_after`` draws, at which ``ready()`` holds. It computes one
+    Gumbel-perturbed key per frame (fixing the rest of the order up
+    front) and skips frames already emitted during the random+ phase, so
+    the whole order remains a permutation.
     """
 
     def __init__(
@@ -62,6 +68,7 @@ class HybridScoredOrder(FrameOrder):
         score_fn: Callable[[], np.ndarray],
         upgrade_after: int,
         on_upgrade: Callable[[], None],
+        ready: Callable[[], bool],
         temperature: float = 1.0,
     ):
         super().__init__(size)
@@ -73,6 +80,7 @@ class HybridScoredOrder(FrameOrder):
         self._score_fn = score_fn
         self._upgrade_after = upgrade_after
         self._on_upgrade = on_upgrade
+        self._ready = ready
         self._temperature = temperature
         self._inner = RandomPlusOrder(size, rng)
         self._emitted: set[int] = set()
@@ -95,7 +103,11 @@ class HybridScoredOrder(FrameOrder):
         self._on_upgrade()
 
     def _next_impl(self) -> int:
-        if self._scored_order is None and self._produced >= self._upgrade_after:
+        if (
+            self._scored_order is None
+            and self._produced >= self._upgrade_after
+            and self._ready()
+        ):
             self._upgrade()
         if self._scored_order is None:
             frame = self._inner.next()
@@ -136,9 +148,11 @@ class FusionSearcher(ExSampleSearcher):
             Seconds charged for scoring one chunk (``size / scan_fps``
             under the paper's cost model), charged when the chunk upgrades.
         upgrade_after:
-            Draws from a chunk before it is worth paying its scoring scan.
-            0 scores every visited chunk immediately; larger values defer
-            the investment to chunks Thompson sampling keeps returning to.
+            Draws from a chunk before it is worth paying its scoring scan;
+            the scan also waits until the chunk has yielded a new object.
+            0 scores a chunk at its first draw after its first find;
+            larger values defer the investment to chunks Thompson
+            sampling keeps returning to.
         temperature, score_scale:
             The within-chunk draw uses Gumbel top-k over
             ``score_scale * scores / temperature``; ``score_scale`` sharpens
@@ -155,11 +169,16 @@ class FusionSearcher(ExSampleSearcher):
         self._temperature = temperature
         self._score_scale = score_scale
         self._pending_cost = 0.0
+        self._yielded = np.zeros(self.sizes.size, dtype=bool)
         self.scanned_chunks: List[int] = []
 
     def _score_for(self, chunk: int) -> np.ndarray:
         """Scaled proxy scores for one chunk (hybrid-order score hook)."""
         return np.asarray(self._chunk_scores(chunk), dtype=float) * self._score_scale
+
+    def _worth_scanning(self, chunk: int) -> bool:
+        """Hybrid-order upgrade gate: the chunk has yielded a new object."""
+        return bool(self._yielded[chunk])
 
     def _charge_scan(self, chunk: int) -> None:
         """Hybrid-order upgrade hook: pay the chunk's scoring scan now."""
@@ -167,16 +186,25 @@ class FusionSearcher(ExSampleSearcher):
         self.scanned_chunks.append(chunk)
 
     def _make_order(self, chunk: int) -> FrameOrder:
-        # functools.partial over bound methods (not local closures) keeps
-        # the searcher picklable for session checkpoint/restore.
+        # Every chunk's hybrid order draws from the run's one order
+        # generator. functools.partial over bound methods (not local
+        # closures) keeps the searcher picklable for session
+        # checkpoint/restore.
         return HybridScoredOrder(
             int(self.sizes[chunk]),
-            self.rngs.stream("fusion-order", chunk),
+            self._order_rng,
             score_fn=partial(self._score_for, chunk),
             upgrade_after=self._upgrade_after,
             on_upgrade=partial(self._charge_scan, chunk),
+            ready=partial(self._worth_scanning, chunk),
             temperature=self._temperature,
         )
+
+    def update(self, picks, observations) -> None:
+        super().update(picks, observations)
+        for (chunk, _), obs in zip(picks, observations, strict=True):
+            if obs.d0:
+                self._yielded[chunk] = True
 
     def consume_extra_cost(self) -> float:
         cost, self._pending_cost = self._pending_cost, 0.0

@@ -19,9 +19,10 @@ structurally unreachable:
    instead of the uniform ``alpha0/beta0``.
 3. **Recorded query outcomes**, keyed by a canonical digest over
    everything that determines a run's trace (detector scope, chunking,
-   engine seed, cost model, method, run seed, the query itself, config
-   and searcher options). An exact-repeat query short-circuits to its
-   recorded outcome with zero detector calls.
+   engine seed, cost model, method, run seed, the query itself, config,
+   searcher options and the version of the search's random streams). An
+   exact-repeat query short-circuits to its recorded outcome with zero
+   detector calls.
 
 On-disk layout — built for concurrent writers::
 
@@ -62,6 +63,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.sampler import STREAM_VERSION
 from repro.errors import ConfigError
 
 logger = logging.getLogger("repro.index")
@@ -104,7 +106,10 @@ def canonical_query_digest(
     state, they would produce byte-identical traces: same detector
     identity (``scope`` covers seed, profile and world content), same
     chunking, same engine seed (discriminator streams), same cost model,
-    same method/run-seed/query/config/options. Deliberately *excludes*
+    same method/run-seed/query/config/options, and the same version of
+    the search's random streams
+    (:data:`~repro.core.sampler.STREAM_VERSION`), so an outcome recorded
+    under other streams is never replayed. Deliberately *excludes*
     index-derived warm priors — the digest describes what the user asked,
     not what the index knew at the time.
     """
@@ -113,6 +118,7 @@ def canonical_query_digest(
         (
             "repro-query-digest",
             INDEX_VERSION,
+            STREAM_VERSION,
             scope,
             chunk_sig,
             int(engine_seed),

@@ -47,9 +47,11 @@ from repro.errors import QueryError
 #: v3 keeps that envelope; the uniform baselines now build chunk orders on
 #: first pick, which changed their pickled layout. v4 keeps it too; the
 #: synthetic world inside a session's engine now pickles as its columns
-#: instead of a list of instance objects. Only the current version
-#: restores: an older blob gets a :class:`~repro.errors.QueryError`.
-CHECKPOINT_VERSION = 4
+#: instead of a list of instance objects. v5 keeps it too; a searcher now
+#: holds one order generator for all its chunk orders and a discriminator
+#: one track-extension generator. Only the current version restores: an
+#: older blob gets a :class:`~repro.errors.QueryError`.
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)

@@ -119,7 +119,13 @@ class FrameMatchResult:
 
 
 class TrackDiscriminator:
-    """Track-based duplicate suppression for distinct object queries."""
+    """Track-based duplicate suppression for distinct object queries.
+
+    Track extension draws from one generator, ``spawn_rng(seed,
+    "trackext")``, built with the discriminator: each new real-object
+    track takes its forward and backward geometric run lengths from it,
+    in creation order.
+    """
 
     def __init__(
         self,
@@ -135,7 +141,7 @@ class TrackDiscriminator:
         self.world = world
         self.iou_threshold = iou_threshold
         self.track_loss_per_frame = track_loss_per_frame
-        self.seed = seed
+        self._trackext_rng = spawn_rng(seed, "trackext")
         self.tracks: List[Track] = []
         # Per (video, class) columnar index of tracks, to keep matching
         # cheap: candidate filtering and box interpolation are whole-group
@@ -295,8 +301,7 @@ class TrackDiscriminator:
             t0, denom = float(det.frame), 1.0
         else:
             instance = self.world.instances[det.instance_uid]
-            rng = spawn_rng(self.seed, "trackext", track_id, det.frame)
-            start, end = self._extend(instance.start, instance.end, det.frame, rng)
+            start, end = self._extend(instance.start, instance.end, det.frame)
             track = Track(
                 track_id=track_id,
                 class_name=det.class_name,
@@ -318,12 +323,11 @@ class TrackDiscriminator:
         columns.append(track_id, track.start, track.end, t0, denom, entry, delta)
         return track
 
-    def _extend(
-        self, inst_start: int, inst_end: int, frame: int, rng: np.random.Generator
-    ) -> Tuple[int, int]:
+    def _extend(self, inst_start: int, inst_end: int, frame: int) -> Tuple[int, int]:
         """Simulate tracking from ``frame`` with per-frame loss hazard."""
         if self.track_loss_per_frame <= 0:
             return inst_start, inst_end
+        rng = self._trackext_rng
         fwd_run = int(rng.geometric(self.track_loss_per_frame))
         bwd_run = int(rng.geometric(self.track_loss_per_frame))
         start = max(inst_start, frame - bwd_run)

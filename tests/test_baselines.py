@@ -109,14 +109,13 @@ class TestRandomSearcher:
 
 
 class _EagerOrders:
-    """Every chunk's UniformOrder built up front, remaining counts rebuilt
-    from the orders on every pick: the baselines before lazy orders."""
+    """Every chunk's UniformOrder built up front on the run's one order
+    stream, remaining counts rebuilt from the orders on every pick: the
+    baselines before lazy orders."""
 
     def _build_orders(self):
-        self._orders = [
-            UniformOrder(int(size), self.rngs.stream("order", j))
-            for j, size in enumerate(self.sizes)
-        ]
+        rng = self.rngs.stream("order")
+        self._orders = [UniformOrder(int(size), rng) for size in self.sizes]
 
     def pick_batch(self):
         picks = []

@@ -13,9 +13,8 @@ class TestConstruction:
     def test_initial_state(self):
         stats = ChunkStatistics([10, 20, 30])
         assert stats.num_chunks == 3
-        assert stats.total_samples == 0
-        assert np.all(stats.active)
-        assert not stats.exhausted
+        assert stats.n.tolist() == [0, 0, 0]
+        assert stats.n1.tolist() == [0.0, 0.0, 0.0]
 
     def test_rejects_empty(self):
         with pytest.raises(ConfigError):
@@ -24,11 +23,6 @@ class TestConstruction:
     def test_rejects_negative_sizes(self):
         with pytest.raises(ConfigError):
             ChunkStatistics([5, -1])
-
-    def test_zero_size_chunk_starts_inactive(self):
-        stats = ChunkStatistics([0, 5])
-        assert not stats.active[0]
-        assert stats.active[1]
 
 
 class TestRecord:
@@ -47,7 +41,6 @@ class TestRecord:
     def test_exhaustion_enforced(self):
         stats = ChunkStatistics([1])
         stats.record(0, 0, 0)
-        assert stats.exhausted
         with pytest.raises(ConfigError):
             stats.record(0, 0, 0)
 
@@ -170,19 +163,3 @@ class TestDerivedQuantities:
         estimates = stats.point_estimates()
         assert estimates[0] == pytest.approx(1.0)  # N1=2, n=2
         assert estimates[1] == 0.0  # unsampled
-
-    def test_empirical_weights_uniform_before_sampling(self):
-        stats = ChunkStatistics([10, 10])
-        assert stats.empirical_weights() == pytest.approx([0.5, 0.5])
-
-    def test_empirical_weights_track_allocation(self):
-        stats = ChunkStatistics([10, 10])
-        for _ in range(3):
-            stats.record(0, 0, 0)
-        stats.record(1, 0, 0)
-        assert stats.empirical_weights() == pytest.approx([0.75, 0.25])
-
-    def test_remaining(self):
-        stats = ChunkStatistics([2, 3])
-        stats.record(0, 0, 0)
-        assert list(stats.remaining) == [1, 3]

@@ -14,8 +14,14 @@ from repro.utils.rng import RngFactory, spawn_rng
 from tests.conftest import make_tiny_dataset
 
 
+def always() -> bool:
+    return True
+
+
 class TestHybridScoredOrder:
-    def _order(self, size=100, upgrade_after=5, scores=None, events=None):
+    def _order(
+        self, size=100, upgrade_after=5, scores=None, events=None, ready=always
+    ):
         events = events if events is not None else []
         score_array = scores if scores is not None else np.zeros(size)
         return (
@@ -25,6 +31,7 @@ class TestHybridScoredOrder:
                 score_fn=lambda: score_array,
                 upgrade_after=upgrade_after,
                 on_upgrade=lambda: events.append("scan"),
+                ready=ready,
             ),
             events,
         )
@@ -58,6 +65,18 @@ class TestHybridScoredOrder:
         order.next()
         assert events == ["scan"]
 
+    def test_upgrade_waits_until_ready(self):
+        gate = []
+        order, events = self._order(
+            size=50, upgrade_after=2, ready=lambda: bool(gate)
+        )
+        for _ in range(6):
+            order.next()
+        assert events == [] and not order.upgraded
+        gate.append(True)
+        order.next()
+        assert events == ["scan"]
+
     def test_scored_phase_prefers_high_scores(self):
         size = 200
         scores = np.zeros(size)
@@ -70,6 +89,7 @@ class TestHybridScoredOrder:
                 score_fn=lambda: scores,
                 upgrade_after=0,
                 on_upgrade=lambda: None,
+                ready=always,
             )
             if order.next() < 10:
                 hits += 1
@@ -85,10 +105,11 @@ class TestHybridScoredOrder:
     def test_validation(self):
         with pytest.raises(ConfigError):
             HybridScoredOrder(
-                10, spawn_rng(0, "h3"), lambda: np.zeros(10), -1, lambda: None
+                10, spawn_rng(0, "h3"), lambda: np.zeros(10), -1, lambda: None,
+                always,
             )
         order = HybridScoredOrder(
-            10, spawn_rng(0, "h4"), lambda: np.zeros(4), 0, lambda: None
+            10, spawn_rng(0, "h4"), lambda: np.zeros(4), 0, lambda: None, always
         )
         with pytest.raises(ConfigError):
             order.next()  # score shape mismatch surfaces at upgrade
@@ -137,6 +158,15 @@ class TestFusionSearcher:
         searcher = self._searcher(skewed_env(), upgrade_after=10_000)
         searcher.run(result_limit=20)
         assert searcher.scanned_chunks == []
+
+    def test_chunks_without_finds_never_scanned(self):
+        """Returning to a chunk is not enough: only a chunk that yielded a
+        new object pays its scan, however often sampling comes back."""
+        searcher = self._searcher(skewed_env(), upgrade_after=2)
+        trace = searcher.run(result_limit=20)
+        cold = trace.chunks[trace.chunks != 1]
+        assert np.bincount(cold).max() > 2  # cold chunks were revisited
+        assert searcher.scanned_chunks == [1]
 
     def test_good_scores_cut_sample_count(self):
         """Scores aligned with the hit pattern reduce detector invocations."""

@@ -54,9 +54,9 @@ class TestIncrementalRuns:
         env = hit_env([400, 400, 400, 400], modulus=16)
         searcher = ExSampleSearcher(env, ExSampleConfig(seed=1), rng=RngFactory(1))
         first = searcher.run(result_limit=15)
-        state_after_first = searcher.stats.total_samples
+        state_after_first = int(searcher.stats.n.sum())
         second = searcher.run(result_limit=15)
-        assert searcher.stats.total_samples == state_after_first + second.num_samples
+        assert int(searcher.stats.n.sum()) == state_after_first + second.num_samples
         assert second.num_samples <= first.num_samples * 2
 
     def test_runs_eventually_exhaust(self):

@@ -266,7 +266,8 @@ class TestCheckpointEnvelope:
 
         v1 blobs were flat dicts; v2 envelopes hold searchers in the
         layout before the uniform baselines built chunk orders lazily; v3
-        envelopes hold a world pickled as a list of instance objects.
+        envelopes hold a world pickled as a list of instance objects; v4
+        envelopes hold a generator per chunk order and per track.
         """
         import pickle
 
@@ -287,7 +288,7 @@ class TestCheckpointEnvelope:
         )
         envelope = pickle.loads(session.checkpoint())
         older = []
-        for version in (2, 3):
+        for version in (2, 3, 4):
             envelope["version"] = version
             older.append(pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
         for blob in (v1_blob, *older):

@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ExSampleConfig
-from repro.core.sampler import SearchTrace
+from repro.core.sampler import STREAM_VERSION, SearchTrace
 from repro.errors import ConfigError
 from repro.index import (
     INDEX_VERSION,
@@ -33,6 +33,7 @@ from repro.index import (
     counts_from_trace,
     make_repository_index,
 )
+from repro.index import store as index_store
 from repro.query.engine import QueryEngine, ReplaySession
 from repro.query.query import DistinctObjectQuery
 
@@ -78,7 +79,7 @@ class TestHelpers:
         assert n.tolist() == [0, 0, 0]
         assert n1.tolist() == [0.0, 0.0, 0.0]
 
-    def test_query_digest_sensitivity(self):
+    def test_query_digest_sensitivity(self, monkeypatch):
         base = dict(
             scope="s1",
             chunk_sig="c1",
@@ -105,6 +106,9 @@ class TestHelpers:
             canonical_query_digest(**base, searcher_kwargs={"batch_size": 4})
             != digest
         )
+        # Another version of the search's random streams.
+        monkeypatch.setattr(index_store, "STREAM_VERSION", STREAM_VERSION + 1)
+        assert canonical_query_digest(**base) != digest
 
     def test_make_repository_index_specs(self, tmp_path):
         assert make_repository_index(None) is None
@@ -354,6 +358,28 @@ class TestReplay:
             assert not engine.session(QUERY, **kwargs).replayed
         other_query = DistinctObjectQuery("bicycle", limit=3)
         assert not engine.session(other_query, run_seed=0).replayed
+
+    def test_outcome_recorded_under_other_streams_runs_live(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        """An outcome recorded under another stream version is never
+        replayed; its counts and detection rows still warm the live run,
+        which records an outcome that the next repeat replays."""
+        with monkeypatch.context() as patch:
+            patch.setattr(index_store, "STREAM_VERSION", STREAM_VERSION - 1)
+            old = QueryEngine(dataset, seed=6, index=str(tmp_path))
+            old.run(QUERY, run_seed=0)
+            assert old.session(QUERY, run_seed=0).replayed
+        engine = QueryEngine(dataset, seed=6, index=str(tmp_path))
+        assert len(engine.detection_cache) > 0
+        session = engine.session(QUERY, run_seed=0)
+        assert not session.replayed
+        assert isinstance(session.search_run.searcher.config.alpha0, np.ndarray)
+        live = session.run_to_completion()
+        assert engine.index.stats().outcomes == 2
+        repeat = engine.session(QUERY, run_seed=0)
+        assert repeat.replayed
+        assert_traces_identical(repeat.run_to_completion().trace, live.trace)
 
     def test_different_engine_seed_never_replays(self, dataset, tmp_path):
         QueryEngine(dataset, seed=6, index=str(tmp_path)).run(QUERY, run_seed=0)

@@ -1,6 +1,7 @@
 """Tests for deterministic RNG spawning."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -110,3 +111,65 @@ class TestTransientRng:
         first = gen.random()
         gen.random()  # advance
         assert pool.seeded(1, "k").random() == first
+
+
+class TestGeneratorsPerSession:
+    """``spawn_rng`` builds a stream that lives for a run, never one per
+    chunk opened or per track created: a search session builds at most
+    three generators (its policy or chunk-choice stream, its order stream
+    and its discriminator's track-extension stream), however many chunks
+    and tracks it touches."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """Keys of every ``spawn_rng`` call, patched into each module that
+        holds it (``RngFactory.stream`` calls it through ``repro.utils.rng``)."""
+        import sys
+
+        import repro.query.engine  # noqa: F401  (imports every searcher)
+        from repro.utils import rng as rng_module
+
+        original = rng_module.spawn_rng
+        calls = []
+
+        def counting(seed, *keys):
+            calls.append(keys)
+            return original(seed, *keys)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro") and getattr(module, "spawn_rng", None) is original:
+                monkeypatch.setattr(module, "spawn_rng", counting)
+        return calls
+
+    def test_solo_query(self, spawned):
+        from repro.query import DistinctObjectQuery, QueryEngine
+        from repro.video import make_dataset
+
+        engine = QueryEngine(make_dataset("bdd1k", scale=1.0, seed=0), seed=0)
+        spawned.clear()
+        outcome = engine.run(
+            DistinctObjectQuery("bus", limit=10), method="exsample", run_seed=7
+        )
+        trace = outcome.trace
+        assert np.unique(trace.chunks).size >= 30
+        assert trace.num_results >= 10
+        assert len(spawned) <= 3, spawned
+
+    def test_run_many_of_exsample_and_random(self, spawned):
+        from repro.query import DistinctObjectQuery, QueryEngine
+        from repro.video import make_dataset
+
+        queries = [("bicycle", "exsample"), ("bicycle", "random"),
+                   ("bus", "exsample"), ("bus", "random")]
+        engine = QueryEngine(make_dataset("archie", scale=0.05, seed=0), seed=0)
+        spawned.clear()
+        outcomes = engine.run_many(
+            [DistinctObjectQuery(cls, limit=30) for cls, _ in queries],
+            method=[method for _, method in queries],
+            run_seeds=[11 + k for k in range(len(queries))],
+            batch_size=4,
+        )
+        chunks = sum(np.unique(o.trace.chunks).size for o in outcomes)
+        tracks = sum(o.trace.num_results for o in outcomes)
+        assert chunks >= 60 and tracks >= 60
+        assert len(spawned) <= 3 * len(queries), spawned
