@@ -40,11 +40,21 @@ from repro.utils.rng import RngFactory
 #: chunk-choice and order streams and the discriminator's track-extension
 #: stream. Version 1 seeded a generator per chunk order and per track;
 #: version 2 gives each run one order generator and each discriminator one
-#: track-extension generator. Bump it on every deliberate stream change:
-#: the repository index keys recorded outcomes on it, so an index written
-#: under other streams never replays an outcome this code computes
-#: differently.
-STREAM_VERSION = 2
+#: track-extension generator; version 3 draws the never-drawn chunks of a
+#: Thompson run over more than :data:`PER_CHUNK_DRAW_MAX_CHUNKS` chunks as
+#: one group (:meth:`~repro.core.belief.ThompsonPolicy.choose_grouped`).
+#: Bump it on every deliberate stream change: the repository index keys
+#: recorded outcomes on it, so an index written under other streams never
+#: replays an outcome this code computes differently.
+STREAM_VERSION = 3
+
+#: Thompson runs with a scalar prior over more chunks than this draw the
+#: never-drawn chunks as one group; smaller runs, per-chunk priors and the
+#: other policies draw every chunk. Grouping pays off once the chunks it
+#: skips outnumber its per-row costs (a tail probability and an integer
+#: draw): at 60 chunks and batch 4 it was slower, and the crossover lies
+#: between about 150 and 500 chunks. Part of ``STREAM_VERSION`` 3.
+PER_CHUNK_DRAW_MAX_CHUNKS = 256
 
 
 @dataclass
@@ -552,6 +562,59 @@ class SearchRun:
         return self._trace.build()
 
 
+class ChunkGroups:
+    """Which chunks a grouped Thompson run has drawn from, with O(1) moves.
+
+    ``order`` lists every chunk that has frames in three runs: chunks
+    drawn until exhausted, then the live chunks (drawn from, frames left),
+    then the pool of chunks never drawn from. ``slot[c]`` is chunk ``c``'s
+    position in ``order``. A chunk moves one run to the left by swapping
+    places with the first chunk of its run, which then starts one later.
+    """
+
+    def __init__(self, sizes: np.ndarray):
+        self.order = np.flatnonzero(sizes > 0)
+        self.slot = np.full(sizes.size, -1, dtype=np.int64)
+        self.slot[self.order] = np.arange(self.order.size)
+        self.live_start = 0
+        self.pool_start = 0
+
+    @property
+    def live(self) -> np.ndarray:
+        """The live chunks, a view valid until the next move."""
+        return self.order[self.live_start : self.pool_start]
+
+    @property
+    def pool_size(self) -> int:
+        return self.order.size - self.pool_start
+
+    @property
+    def exhausted(self) -> bool:
+        """Whether every chunk has run out of frames."""
+        return self.live_start == self.order.size
+
+    def pool_member(self, j: int) -> int:
+        return int(self.order[self.pool_start + j])
+
+    def open(self, chunk: int) -> None:
+        """``chunk`` had its first draw: pool -> live."""
+        self._swap(chunk, self.pool_start)
+        self.pool_start += 1
+
+    def close(self, chunk: int) -> None:
+        """``chunk`` ran out of frames: live -> exhausted."""
+        self._swap(chunk, self.live_start)
+        self.live_start += 1
+
+    def _swap(self, chunk: int, position: int) -> None:
+        here = self.slot[chunk]
+        other = self.order[position]
+        self.order[here] = other
+        self.slot[other] = here
+        self.order[position] = chunk
+        self.slot[chunk] = position
+
+
 class ExSampleSearcher(Searcher):
     """Algorithm 1, with the batched-sampling extension of §III-F.
 
@@ -561,6 +624,13 @@ class ExSampleSearcher(Searcher):
     additive N1/n update. With ``config.batch_size > 1``, ``B`` Thompson
     draws are taken per chunk and the (commutative) updates are applied once
     per batch, exactly as the paper describes.
+
+    A Thompson run with a scalar prior over more than
+    :data:`PER_CHUNK_DRAW_MAX_CHUNKS` chunks keeps its chunks in
+    :class:`ChunkGroups` and draws the never-drawn ones, which all still
+    hold the prior, as one group
+    (:meth:`~repro.core.belief.ThompsonPolicy.choose_grouped`): the same
+    choices in distribution, at O(chunks drawn) per pick.
     """
 
     name = "exsample"
@@ -595,6 +665,13 @@ class ExSampleSearcher(Searcher):
         self._orders: List[Optional[FrameOrder]] = [None] * int(self.sizes.size)
         self._drawn = np.zeros(self.sizes.size, dtype=np.int64)
         self._step = 0
+        grouped = (
+            config.policy == "thompson"
+            and np.ndim(config.alpha0) == 0
+            and np.ndim(config.beta0) == 0
+            and self.sizes.size > PER_CHUNK_DRAW_MAX_CHUNKS
+        )
+        self._groups = ChunkGroups(self.sizes) if grouped else None
 
     def _make_order(self, chunk: int) -> FrameOrder:
         """Create the within-chunk frame order for ``chunk`` (overridable).
@@ -638,6 +715,8 @@ class ExSampleSearcher(Searcher):
     # -- searcher interface --------------------------------------------------
 
     def pick_batch(self) -> List[Tuple[int, int]]:
+        if self._groups is not None:
+            return self._pick_grouped()
         remaining = self.sizes - self._drawn
         active = remaining > 0
         if not np.any(active):
@@ -673,6 +752,60 @@ class ExSampleSearcher(Searcher):
             self._drawn[chunk] += 1
             picks.append((chunk, frame))
         return picks
+
+    def _pick_grouped(self) -> List[Tuple[int, int]]:
+        """:meth:`pick_batch` through the grouped Thompson draw.
+
+        The batch's rows are chosen together from the beliefs at its
+        start, and a row whose chunk ran out earlier in the batch is
+        redirected by a fresh one-row choice, as on the per-chunk path.
+        """
+        groups = self._groups
+        if groups.exhausted:
+            return []
+        self._step += 1
+        sizes, drawn = self.sizes, self._drawn
+        picks: List[Tuple[int, int]] = []
+        for chunk in self._grouped_choices(self.config.batch_size):
+            if drawn[chunk] == sizes[chunk]:
+                if groups.exhausted:
+                    break
+                chunk = self._grouped_choices(1)[0]
+            frame = self._order_for(chunk).next()
+            taken = drawn[chunk] + 1
+            drawn[chunk] = taken
+            if taken == 1:
+                groups.open(chunk)
+            if taken == sizes[chunk]:
+                groups.close(chunk)
+            picks.append((chunk, frame))
+        return picks
+
+    def _grouped_choices(self, batch: int) -> List[int]:
+        """``batch`` chunks from one grouped Thompson draw.
+
+        The live chunks' beliefs come from the statistics, which a batch
+        does not update, so they are the beliefs at the batch's start; a
+        chunk opened earlier in the batch still holds the prior there.
+        """
+        groups = self._groups
+        live = groups.live
+        config = self.config
+        alphas = np.maximum(self.stats.n1[live], 0.0) + config.alpha0
+        betas = self.stats.n[live] + config.beta0
+        rows = self.policy.choose_grouped(
+            alphas,
+            betas,
+            groups.pool_size,
+            (config.alpha0, config.beta0),
+            self._policy_rng,
+            batch,
+        )
+        k = live.size
+        return [
+            int(live[row]) if row < k else groups.pool_member(row - k)
+            for row in rows
+        ]
 
     def update(self, picks, observations) -> None:
         chunks = [chunk for chunk, _ in picks]

@@ -49,9 +49,11 @@ from repro.errors import QueryError
 #: synthetic world inside a session's engine now pickles as its columns
 #: instead of a list of instance objects. v5 keeps it too; a searcher now
 #: holds one order generator for all its chunk orders and a discriminator
-#: one track-extension generator. Only the current version restores: an
-#: older blob gets a :class:`~repro.errors.QueryError`.
-CHECKPOINT_VERSION = 5
+#: one track-extension generator. v6 keeps it too; an ExSample searcher
+#: over more than 256 chunks now holds the chunk groups of its grouped
+#: Thompson draw. Only the current version restores: an older blob gets a
+#: :class:`~repro.errors.QueryError`.
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)

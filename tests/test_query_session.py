@@ -267,7 +267,8 @@ class TestCheckpointEnvelope:
         v1 blobs were flat dicts; v2 envelopes hold searchers in the
         layout before the uniform baselines built chunk orders lazily; v3
         envelopes hold a world pickled as a list of instance objects; v4
-        envelopes hold a generator per chunk order and per track.
+        envelopes hold a generator per chunk order and per track; v5
+        envelopes hold large-repository searchers without chunk groups.
         """
         import pickle
 
@@ -288,7 +289,7 @@ class TestCheckpointEnvelope:
         )
         envelope = pickle.loads(session.checkpoint())
         older = []
-        for version in (2, 3, 4):
+        for version in (2, 3, 4, 5):
             envelope["version"] = version
             older.append(pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
         for blob in (v1_blob, *older):
