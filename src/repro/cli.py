@@ -26,7 +26,7 @@ from typing import List, Optional
 from repro.core.registry import searcher_specs
 from repro.errors import ReproError
 from repro.experiments import ablations as ablations_mod
-from repro.experiments import fig2, fig3, fig4, fig5, fig6, table1
+from repro.experiments.report import ARTIFACTS, generate_report, render_report
 from repro.experiments.runner import default_config, sweep_methods
 from repro.query.cost import CostModel
 from repro.query.engine import SEARCH_METHODS, QueryEngine
@@ -34,18 +34,8 @@ from repro.query.metrics import time_to_recall
 from repro.query.query import DistinctObjectQuery
 from repro.query.session import BudgetExhausted, ResultFound
 from repro.serving.placement import PLACEMENT_POLICIES
-from repro.serving.policies import SCHEDULING_POLICIES
 from repro.utils.tables import ascii_table, format_duration
 from repro.video.datasets import DATASET_BUILDERS, make_dataset
-
-_EXPERIMENTS = {
-    "fig2": (fig2.Fig2Config, fig2.run, fig2.format_result),
-    "fig3": (fig3.Fig3Config, fig3.run, fig3.format_result),
-    "fig4": (fig4.Fig4Config, fig4.run, fig4.format_result),
-    "fig5": (fig5.Fig5Config, fig5.run, fig5.format_result),
-    "fig6": (fig6.Fig6Config, fig6.run, fig6.format_result),
-    "table1": (table1.Table1Config, table1.run, table1.format_result),
-}
 
 _ABLATIONS = {
     "randomplus": ablations_mod.randomplus_ablation,
@@ -165,11 +155,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="max milliseconds a detector request waits for batch company",
     )
     serve.add_argument(
-        "--policy", default="round_robin",
-        choices=sorted(SCHEDULING_POLICIES),
-        help="scheduling policy for admission and batch assembly",
-    )
-    serve.add_argument(
         "--executor", default=None, metavar="SPEC",
         help="detector executor spec: inline or thread[:N] (results "
              "are unaffected; thread overlaps fused detection with "
@@ -228,11 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet.add_argument(
         "--queue-capacity", type=int, default=64,
         help="router-side admission queue bound per shard",
-    )
-    fleet.add_argument(
-        "--policy", default="round_robin",
-        choices=sorted(SCHEDULING_POLICIES),
-        help="scheduling policy inside each shard server",
     )
     fleet.add_argument(
         "--executor", default=None, metavar="SPEC",
@@ -299,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment = sub.add_parser(
         "experiment", help="regenerate one paper table or figure"
     )
-    experiment.add_argument("name", choices=sorted(_EXPERIMENTS) + ["all"])
+    experiment.add_argument("name", choices=sorted(ARTIFACTS) + ["all"])
     experiment.add_argument(
         "--full", action="store_true",
         help="paper-scale configuration (slow); default is the quick config",
@@ -612,7 +592,6 @@ def _cmd_serve(args, out) -> int:
         queue_capacity=args.queue_capacity,
         max_batch_size=args.max_batch,
         flush_latency=args.flush_ms / 1000.0,
-        policy=args.policy,
         batching=not args.no_batching,
         executor=executor or "inline",
     )
@@ -716,7 +695,6 @@ def _cmd_fleet(args, out) -> int:
         queue_capacity=args.queue_capacity,
         server=ServerConfig(
             max_in_flight=args.max_in_flight,
-            policy=args.policy,
             executor=(
                 args.executor or load_executor(args.workload) or "inline"
             ),
@@ -826,11 +804,9 @@ def _cmd_index(args, out) -> int:
 def _cmd_experiment(args, out) -> int:
     _apply_parallel_env(args)
     if args.name == "all":
-        from repro.experiments.report import generate_report, render_report
-
         print(render_report(generate_report(full=args.full)), file=out)
         return 0
-    config_cls, run, format_result = _EXPERIMENTS[args.name]
+    config_cls, run, format_result = ARTIFACTS[args.name]
     config = config_cls.paper() if args.full else config_cls.quick()
     result = run(config)
     print(format_result(result), file=out)

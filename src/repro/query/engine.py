@@ -676,11 +676,12 @@ class QueryEngine:
         """A :class:`~repro.serving.QueryServer` over this engine.
 
         The asyncio entry point for concurrent multi-tenant serving: many
-        sessions on one event loop, detector requests fused across them
-        by a :class:`~repro.serving.DetectorBatcher`, this engine's
-        detection cache shared by every tenant. ``config`` is a
+        sessions on one event loop, admitted and batched in submission
+        order, detector requests fused across them by a
+        :class:`~repro.serving.DetectorBatcher`, this engine's detection
+        cache shared by every tenant. ``config`` is a
         :class:`~repro.serving.ServerConfig`; keyword overrides build one
-        (``engine.serve(max_in_flight=16, policy="deadline")``). Must be
+        (``engine.serve(max_in_flight=16, max_batch_size=64)``). Must be
         driven from within a running event loop; the blocking wrapper is
         :meth:`run_many`.
         """

@@ -4,10 +4,10 @@ The event-loop front end over the library's resumable search steppers:
 :class:`QueryServer` runs many :class:`~repro.query.session.QuerySession`
 s concurrently, :class:`DetectorBatcher` coalesces their pending frame
 requests into fused detector batches (the cross-session batching the
-ROADMAP's async-serving item calls for), detector executors decide
+ROADMAP's async-serving item calls for), and detector executors decide
 where a fused call runs (inline on the loop, or on a thread pool; see
-:mod:`repro.serving.executors`), and scheduling policies order admission
-and batch assembly. Entry points: ``engine.serve()`` for async code,
+:mod:`repro.serving.executors`). Sessions are admitted and batched in
+submission order. Entry points: ``engine.serve()`` for async code,
 ``engine.run_many`` for the blocking wrapper, ``repro serve`` for
 workload replay from the command line.
 """
@@ -43,13 +43,6 @@ from repro.serving.placement import (
     PLACEMENT_POLICIES,
     PlacementPolicy,
     make_placement_policy,
-    register_placement,
-)
-from repro.serving.policies import (
-    SCHEDULING_POLICIES,
-    SchedulingPolicy,
-    make_scheduling_policy,
-    register_policy,
 )
 from repro.serving.server import (
     LatencyStats,
@@ -88,8 +81,6 @@ __all__ = [
     "QueryServer",
     "RemoteSession",
     "RetryPolicy",
-    "SCHEDULING_POLICIES",
-    "SchedulingPolicy",
     "ServerConfig",
     "ServerStats",
     "SessionHandle",
@@ -102,9 +93,6 @@ __all__ = [
     "load_workload",
     "make_executor",
     "make_placement_policy",
-    "make_scheduling_policy",
-    "register_placement",
-    "register_policy",
     "replay",
     "replay_fleet",
     "run_fleet",

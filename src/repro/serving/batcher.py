@@ -13,7 +13,9 @@ awaiting session.
 Fusing never changes results: detection is a pure function of
 ``(seed, video, frame)`` and requests are only fused when they target the
 same detector with the same class filter, so a fused call returns exactly
-what each per-session call would have.
+what each per-session call would have. A flush packs pending requests in
+submission order (the sessions' ``seq``), so when ``max_batch_size``
+splits it, the earliest-submitted sessions ride the first call.
 
 Flush triggers (first wins):
 
@@ -46,7 +48,6 @@ from typing import Callable, Dict, List, Optional
 
 from repro.core.environment import FrameRequest
 from repro.serving.executors import DetectorExecutor, InlineDetectorExecutor
-from repro.serving.policies import SchedulingPolicy
 
 __all__ = ["BatcherStats", "DetectorBatcher"]
 
@@ -57,7 +58,7 @@ class _PendingDetect:
 
     detector: object
     request: FrameRequest
-    handle: object  # SessionHandle (duck-typed: seq/tenant/num_samples/deadline)
+    handle: object  # SessionHandle (duck-typed: seq/tenant)
     future: "asyncio.Future[List[list]]"
 
 
@@ -120,10 +121,6 @@ class DetectorBatcher:
 
     Parameters
     ----------
-    policy:
-        Scheduling policy ordering pending requests at flush time (see
-        :mod:`repro.serving.policies`). Matters when a flush exceeds
-        ``max_batch_size`` and must be split across calls.
     max_batch_size:
         Maximum frames per fused ``detect_batch`` call; reaching it
         flushes immediately. A single request larger than the cap is
@@ -149,14 +146,12 @@ class DetectorBatcher:
 
     def __init__(
         self,
-        policy: SchedulingPolicy,
         max_batch_size: int = 256,
         flush_latency: float = 0.002,
         outstanding_hint: Optional[Callable[[], int]] = None,
         executor: Optional[DetectorExecutor] = None,
     ):
-        self.policy = policy
-        self.max_batch_size = max(1, int(max_batch_size))
+        self.max_batch_size = max_batch_size
         self.flush_latency = float(flush_latency)
         self._outstanding_hint = outstanding_hint
         self.executor = executor if executor is not None else InlineDetectorExecutor()
@@ -248,9 +243,9 @@ class DetectorBatcher:
         pending, self._pending = self._pending, []
         self._pending_frames = 0
         self.stats.flushes += 1
-        # Policy order decides who makes it into the first (possibly only)
-        # call of each group when capacity splits the flush.
-        pending.sort(key=lambda p: self.policy.key(p.handle))
+        # Submission order decides who makes it into the first (possibly
+        # only) call of each group when capacity splits the flush.
+        pending.sort(key=lambda p: p.handle.seq)
         # Requests fuse only when they share a detector and class filter:
         # detection (and its cache keys) are defined per detector × filter.
         groups: Dict[tuple, List[_PendingDetect]] = {}

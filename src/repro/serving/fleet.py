@@ -78,7 +78,7 @@ from repro.serving.net import (
 )
 from repro.serving.placement import PlacementPolicy, make_placement_policy
 from repro.serving.server import ServerConfig
-from repro.serving.workload import WorkloadItem
+from repro.serving.workload import WorkloadItem, _submit_paced
 
 #: Exceptions that mean "the wire or the shard broke", as opposed to a
 #: typed answer from a healthy server. These route into recovery.
@@ -916,7 +916,6 @@ class FleetRouter:
                 new_remote = await shard.client.restore(
                     blob,
                     tenant=handle.item.tenant,
-                    deadline=handle.item.deadline,
                     wait=True,
                     stream=True,
                     pause_after=self.config.checkpoint_every,
@@ -1202,7 +1201,6 @@ class FleetRouter:
                     remote = await shard.client.restore(
                         handle.checkpoint_blob,
                         tenant=handle.item.tenant,
-                        deadline=handle.item.deadline,
                         wait=True,
                         stream=handle.supervised,
                         pause_after=(
@@ -1292,7 +1290,6 @@ class FleetRouter:
                 remote = await target.client.restore(
                     blob,
                     tenant=handle.item.tenant,
-                    deadline=handle.item.deadline,
                     wait=True,
                     stream=handle.supervised,
                     pause_after=(
@@ -1444,25 +1441,13 @@ async def replay_fleet(
 ) -> List[FleetHandle]:
     """Submit a workload to the fleet honouring arrival times.
 
-    The fleet analogue of :func:`repro.serving.workload.replay`: items
-    are submitted in arrival order (``time_scale=0`` as fast as
-    admission allows), routed by the router's placement policy unless an
-    item pins a ``shard``; items with ``pause_after`` pause there and
-    stay checkpointable. The returned handles align with ``items``.
+    The fleet analogue of :func:`repro.serving.workload.replay`, paced
+    by the same loop (``time_scale=0`` as fast as admission allows):
+    items are routed by the router's placement policy unless an item
+    pins a ``shard``; items with ``pause_after`` pause there and stay
+    checkpointable. The returned handles align with ``items``.
     """
-    items = list(items)
-    loop = asyncio.get_running_loop()
-    start = loop.time()
-    handles: "List[Optional[FleetHandle]]" = [None] * len(items)
-    order = sorted(range(len(items)), key=lambda i: items[i].arrival)
-    for index in order:
-        item = items[index]
-        if time_scale > 0:
-            delay = item.arrival * time_scale - (loop.time() - start)
-            if delay > 0:
-                await asyncio.sleep(delay)
-        handles[index] = await router.submit(item)
-    return handles
+    return await _submit_paced(items, time_scale, router.submit)
 
 
 def run_fleet(

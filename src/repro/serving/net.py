@@ -489,7 +489,6 @@ class NetServer:
             handle = await self.query_server.submit(
                 session=session,
                 tenant=frame.get("tenant", "default"),
-                deadline=frame.get("deadline"),
                 pause_after=pause_after,
                 wait=wait,
                 event_sink=sink,
@@ -508,7 +507,6 @@ class NetServer:
                 method=item.method,
                 run_seed=item.run_seed,
                 tenant=item.tenant,
-                deadline=item.deadline,
                 pause_after=pause_after,
                 wait=wait,
                 event_sink=sink,
@@ -1101,7 +1099,6 @@ class FleetClient:
         checkpoint: bytes,
         *,
         tenant: str = "default",
-        deadline: Optional[float] = None,
         wait: bool = False,
         stream: bool = False,
         pause_after: Optional[int] = None,
@@ -1115,8 +1112,6 @@ class FleetClient:
             "wait": wait,
             "stream": stream,
         }
-        if deadline is not None:
-            frame["deadline"] = deadline
         if pause_after is not None:
             frame["pause_after"] = pause_after
         return await self._admit(frame)

@@ -1,10 +1,9 @@
 """Pluggable shard-placement policies for the fleet router.
 
-A placement policy decides *which shard* serves a query; like the
-scheduling policies inside one server (:mod:`repro.serving.policies`) it
-decides locality and load shape, never outcomes — every shard of a fleet
-serves the same repository with the same engine seed, so a session's
-trace is byte-identical wherever it lands.
+A placement policy decides *which shard* serves a query. It decides
+locality and load shape, never outcomes — every shard of a fleet serves
+the same repository with the same engine seed, so a session's trace is
+byte-identical wherever it lands.
 
 Built-ins:
 
@@ -17,9 +16,9 @@ Built-ins:
   active or queued, at submission time (ties broken by shard index).
   Best throughput for skewed tenants at the price of tenant locality.
 
-Third-party policies register with :func:`register_placement` and are
-then selectable by name everywhere a built-in is (``FleetConfig``,
-``repro fleet --placement``).
+Both are selectable by name (``FleetConfig.placement``, ``repro fleet
+--placement``); any other :class:`PlacementPolicy` instance plugs in
+through ``FleetConfig.placement``.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ __all__ = [
     "PLACEMENT_POLICIES",
     "PlacementPolicy",
     "make_placement_policy",
-    "register_placement",
 ]
 
 
@@ -83,21 +81,11 @@ class LeastLoadedPolicy(PlacementPolicy):
         )
 
 
-#: Registry of available placement policies (name -> factory).
-PLACEMENT_POLICIES: Dict[str, Callable[[], PlacementPolicy]] = {}
-
-
-def register_placement(
-    name: str, factory: Callable[[], PlacementPolicy]
-) -> None:
-    """Register a placement policy under ``name`` (duplicates rejected)."""
-    if name in PLACEMENT_POLICIES:
-        raise ConfigError(f"placement policy {name!r} is already registered")
-    PLACEMENT_POLICIES[name] = factory
-
-
-register_placement("hash_tenant", HashTenantPolicy)
-register_placement("least_loaded", LeastLoadedPolicy)
+#: The built-in placement policies by name (name -> factory).
+PLACEMENT_POLICIES: Dict[str, Callable[[], PlacementPolicy]] = {
+    "hash_tenant": HashTenantPolicy,
+    "least_loaded": LeastLoadedPolicy,
+}
 
 
 def make_placement_policy(

@@ -16,9 +16,9 @@ for every registered search method, and ``QueryEngine.run_many`` is now a
 thin blocking wrapper over this server.
 
 Admission control and backpressure: at most ``max_in_flight`` sessions
-step concurrently; further submissions wait in a policy-ordered admission
-queue bounded at ``queue_capacity``; when that is full too, ``submit``
-either awaits room (backpressure) or raises
+step concurrently; further submissions wait in an admission queue bounded
+at ``queue_capacity`` and are admitted in submission order; when that is
+full too, ``submit`` either awaits room (backpressure) or raises
 :class:`~repro.errors.ServerOverloadedError` (``wait=False``).
 
 Typical use::
@@ -36,15 +36,21 @@ from __future__ import annotations
 
 import asyncio
 import heapq
+import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Tuple, Union
+from typing import Deque, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.environment import batched_observe
 from repro.detection.cache import CacheInfo
-from repro.errors import QueryError, ServerDrainingError, ServerOverloadedError
+from repro.errors import (
+    ConfigError,
+    QueryError,
+    ServerDrainingError,
+    ServerOverloadedError,
+)
 from repro.serving.batcher import BatcherStats, DetectorBatcher
 from repro.serving.executors import (
     DetectorExecutor,
@@ -52,7 +58,6 @@ from repro.serving.executors import (
     make_executor,
     validate_executor_spec,
 )
-from repro.serving.policies import SchedulingPolicy, make_scheduling_policy
 
 __all__ = [
     "LatencyStats",
@@ -77,13 +82,10 @@ class ServerConfig:
         Maximum sessions waiting for admission; beyond it ``submit``
         backpressures (or raises with ``wait=False``).
     max_batch_size:
-        Maximum frames per fused detector call.
+        Maximum frames per fused detector call (>= 1).
     flush_latency:
-        Seconds a pending detector request may wait for company.
-    policy:
-        Scheduling policy name or instance (``"round_robin"``,
-        ``"fewest_samples"``, ``"deadline"``, or a registered plug-in);
-        orders admission and batch assembly.
+        Seconds a pending detector request may wait for company (finite,
+        >= 0).
     batching:
         When False, every session calls the detector itself (per-session
         stepping — the pre-server behaviour). Outcomes are identical
@@ -101,15 +103,18 @@ class ServerConfig:
     queue_capacity: int = 64
     max_batch_size: int = 256
     flush_latency: float = 0.002
-    policy: Union[str, SchedulingPolicy] = "round_robin"
     batching: bool = True
     executor: ExecutorSpec = "inline"
 
     def __post_init__(self) -> None:
         if self.max_in_flight < 1:
-            raise QueryError("max_in_flight must be >= 1")
+            raise ConfigError("max_in_flight must be >= 1")
         if self.queue_capacity < 0:
-            raise QueryError("queue_capacity must be >= 0")
+            raise ConfigError("queue_capacity must be >= 0")
+        if self.max_batch_size < 1:
+            raise ConfigError("max_batch_size must be >= 1")
+        if not 0 <= self.flush_latency < math.inf:
+            raise ConfigError("flush_latency must be finite and >= 0")
         validate_executor_spec(self.executor)
 
 
@@ -239,13 +244,11 @@ class SessionHandle:
         session,
         seq: int,
         tenant: str,
-        deadline: Optional[float],
         pause_after: Optional[int],
     ):
         self.session = session
         self.seq = seq
         self.tenant = tenant
-        self.deadline = deadline
         self.pause_after = pause_after
         self.state = "queued"
         self.steps = 0
@@ -344,7 +347,6 @@ class QueryServer:
     def __init__(self, engine=None, config: Optional[ServerConfig] = None):
         self.engine = engine
         self.config = config or ServerConfig()
-        self.policy = make_scheduling_policy(self.config.policy)
         # An executor built from a spec string belongs to this server
         # (closed by aclose); a passed-in instance stays with its owner,
         # so one pool can serve several servers or test fixtures.
@@ -353,7 +355,6 @@ class QueryServer:
         )
         self.executor = make_executor(self.config.executor)
         self._batcher = DetectorBatcher(
-            self.policy,
             max_batch_size=self.config.max_batch_size,
             flush_latency=self.config.flush_latency,
             outstanding_hint=self._running_count,
@@ -362,7 +363,10 @@ class QueryServer:
         self._seq = 0
         self._handles: List[SessionHandle] = []
         self._running: "set[SessionHandle]" = set()
-        self._waiting: List[Tuple[tuple, int, SessionHandle]] = []
+        #: Admission queue: a heap of ``(seq, handle)``, not a FIFO, because
+        #: a submitter woken from backpressure can push after a later one
+        #: that found room; sessions are still admitted in submission order.
+        self._waiting: List[Tuple[int, SessionHandle]] = []
         self._space_waiters: Deque[asyncio.Future] = deque()
         self._tasks: Dict[SessionHandle, asyncio.Task] = {}
         self._direct_detector_calls = 0
@@ -383,7 +387,6 @@ class QueryServer:
         method: str = "exsample",
         run_seed: int = 0,
         tenant: str = "default",
-        deadline: Optional[float] = None,
         pause_after: Optional[int] = None,
         wait: bool = True,
         event_sink=None,
@@ -394,9 +397,8 @@ class QueryServer:
         Exactly one of ``query`` / ``session`` must be given; a query is
         opened through the engine exactly as ``engine.session`` would, so
         serving changes nothing about how a search is configured.
-        ``deadline`` (seconds from submission) only matters to the
-        ``"deadline"`` policy; ``pause_after`` pauses the session after
-        that many fulfilled steps (e.g. to checkpoint it mid-flight).
+        ``pause_after`` pauses the session after that many fulfilled
+        steps (e.g. to checkpoint it mid-flight).
         ``wait=False`` turns queue backpressure into
         :class:`~repro.errors.ServerOverloadedError`. ``event_sink`` is
         an optional callable ``(handle, SearchStep)`` invoked after every
@@ -428,11 +430,7 @@ class QueryServer:
             )
         loop = asyncio.get_running_loop()
         handle = SessionHandle(
-            session,
-            seq=self._seq,
-            tenant=tenant,
-            deadline=None if deadline is None else loop.time() + deadline,
-            pause_after=pause_after,
+            session, seq=self._seq, tenant=tenant, pause_after=pause_after
         )
         handle.event_sink = event_sink
         self._seq += 1
@@ -458,9 +456,7 @@ class QueryServer:
                     "for admission-queue room"
                 )
         self._handles.append(handle)
-        heapq.heappush(
-            self._waiting, (self.policy.key(handle), handle.seq, handle)
-        )
+        heapq.heappush(self._waiting, (handle.seq, handle))
         self._pump(loop)
         return handle
 
@@ -511,7 +507,7 @@ class QueryServer:
             # where they stand (a fresh session checkpoints fine) instead
             # of spending detector budget on work the caller is stopping.
             while self._waiting:
-                _, _, handle = heapq.heappop(self._waiting)
+                _, handle = heapq.heappop(self._waiting)
                 handle._finish("paused", loop)
         # Serve detection already pending so blocked sessions can reach
         # their next batch boundary (and see a pause request) promptly.
@@ -614,9 +610,9 @@ class QueryServer:
         return len(self._running)
 
     def _pump(self, loop: asyncio.AbstractEventLoop) -> None:
-        """Admit policy-preferred waiting sessions into free slots."""
+        """Admit waiting sessions, in submission order, into free slots."""
         while self._waiting and len(self._running) < self.config.max_in_flight:
-            _, _, handle = heapq.heappop(self._waiting)
+            _, handle = heapq.heappop(self._waiting)
             handle.state = "running"
             handle.started_at = loop.time()
             self._running.add(handle)
@@ -729,7 +725,7 @@ class QueryServer:
             task.cancel()
         loop = asyncio.get_running_loop()
         while self._waiting:
-            _, _, handle = heapq.heappop(self._waiting)
+            _, handle = heapq.heappop(self._waiting)
             handle.error = QueryError("server shut down before admission")
             handle._finish("failed", loop)
         while self._space_waiters:

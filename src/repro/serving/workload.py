@@ -10,18 +10,18 @@ Format (either a bare list or ``{"queries": [...]}``)::
       "queries": [
         {"object": "person", "limit": 5, "arrival": 0.0, "tenant": "a"},
         {"object": "car", "recall": 0.5, "arrival": 0.25, "tenant": "b",
-         "method": "random", "run_seed": 3, "deadline": 2.0}
+         "method": "random", "run_seed": 3}
       ]
     }
 
 Per-item keys: ``object`` (required class name); ``limit`` / ``recall`` /
 ``frame_budget`` / ``cost_budget`` (stopping regime, as in the CLI);
-``arrival`` (seconds since replay start, default 0); ``method``,
-``run_seed``, ``tenant``, ``deadline`` (seconds after arrival — only the
-``"deadline"`` policy reads it), ``batch_size``. Every key except
+``arrival`` (seconds since replay start, finite and >= 0, default 0);
+``method``, ``run_seed``, ``tenant``, ``batch_size``. Every key except
 ``object`` has a back-compat default, so workload files written before a
 field existed keep loading unchanged. Unknown keys are rejected so a typo
-cannot silently run a misconfigured workload.
+cannot silently run a misconfigured workload. Arrival times only pace
+submission: a server admits and batches sessions in submission order.
 
 Two keys exist for fleet replay (:mod:`repro.serving.fleet`) and are
 ignored by single-server :func:`replay`: ``shard`` pins an item to one
@@ -42,8 +42,9 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 from dataclasses import asdict, dataclass
-from typing import List, Optional, Sequence
+from typing import Awaitable, Callable, List, Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.query.query import DistinctObjectQuery
@@ -71,14 +72,15 @@ class WorkloadItem:
     method: str = "exsample"
     run_seed: int = 0
     tenant: str = "default"
-    deadline: Optional[float] = None
     batch_size: Optional[int] = None
     shard: Optional[int] = None
     pause_after: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.arrival < 0:
-            raise ConfigError("arrival must be >= 0")
+        if not 0 <= self.arrival < math.inf:
+            raise ConfigError(
+                f"arrival must be finite and >= 0, got {self.arrival!r}"
+            )
         if self.shard is not None and self.shard < 0:
             raise ConfigError("shard must be >= 0")
         if self.pause_after is not None and self.pause_after < 1:
@@ -169,37 +171,58 @@ def save_workload(path: str, items: Sequence[WorkloadItem]) -> None:
         handle.write("\n")
 
 
-async def replay(server, items: Sequence[WorkloadItem], time_scale: float = 1.0):
-    """Submit a workload to ``server`` honouring arrival times.
+async def _submit_paced(
+    items: Sequence[WorkloadItem],
+    time_scale: float,
+    submit: Callable[[WorkloadItem], Awaitable[object]],
+) -> list:
+    """Await ``submit(item)`` for every item at its scaled arrival time.
 
-    ``time_scale`` stretches (or, at 0, ignores) the arrival schedule:
-    ``0`` submits everything as fast as admission allows — the right mode
-    for tests and benchmarks. Submission happens in arrival order, but
-    the returned handles align with ``items`` (``handles[i]`` belongs to
-    ``items[i]`` however the list was ordered); callers typically follow
-    with ``await server.drain()``.
+    The pacing loop behind :func:`replay` and
+    :func:`repro.serving.fleet.replay_fleet`. ``time_scale`` stretches
+    the arrival schedule; ``0`` ignores it and submits as fast as
+    ``submit`` returns. A non-finite or negative ``time_scale`` raises
+    :class:`~repro.errors.ConfigError` before anything is submitted.
+    Items go out in arrival order, but the returned handles align with
+    ``items`` (``handles[i]`` belongs to ``items[i]``).
     """
+    if not 0 <= time_scale < math.inf:
+        raise ConfigError(
+            f"time_scale must be finite and >= 0, got {time_scale!r}"
+        )
     items = list(items)
     loop = asyncio.get_running_loop()
     start = loop.time()
-    handles: "List[object | None]" = [None] * len(items)
-    order = sorted(range(len(items)), key=lambda i: items[i].arrival)
-    for index in order:
-        item = items[index]
+    handles: list = [None] * len(items)
+    for index in sorted(range(len(items)), key=lambda i: items[i].arrival):
         if time_scale > 0:
-            delay = item.arrival * time_scale - (loop.time() - start)
+            delay = items[index].arrival * time_scale - (loop.time() - start)
             if delay > 0:
                 await asyncio.sleep(delay)
-        handles[index] = await server.submit(
+        handles[index] = await submit(items[index])
+    return handles
+
+
+async def replay(server, items: Sequence[WorkloadItem], time_scale: float = 1.0):
+    """Submit a workload to ``server`` honouring arrival times.
+
+    Paced by :func:`_submit_paced`: ``time_scale=0`` submits everything as
+    fast as admission allows — the right mode for tests and benchmarks.
+    The returned handles align with ``items``; callers typically follow
+    with ``await server.drain()``.
+    """
+
+    async def submit(item: WorkloadItem):
+        return await server.submit(
             item.query(),
             method=item.method,
             run_seed=item.run_seed,
             tenant=item.tenant,
-            deadline=item.deadline,
             **(
                 {"batch_size": item.batch_size}
                 if item.batch_size is not None
                 else {}
             ),
         )
-    return handles
+
+    return await _submit_paced(items, time_scale, submit)

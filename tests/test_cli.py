@@ -148,13 +148,6 @@ class TestServe:
         assert code == 0
         assert "empty" in text
 
-    def test_policy_choices_validated(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["serve", "--dataset", "dashcam", "--workload", "x.json",
-                 "--policy", "lifo"]
-            )
-
     def test_requires_exactly_one_of_workload_and_listen(self, tmp_path):
         code, text = run_cli("serve", "--dataset", "dashcam")
         assert code == 1
@@ -199,10 +192,30 @@ class TestServe:
             (["query", "--dataset", "dashcam", "--object", "person",
               "--cost-budget", "nan"],
              None, "QueryError: cost_budget must be positive"),
+            (["serve", "--dataset", "dashcam", "--workload", "WORKLOAD",
+              "--max-batch", "0"],
+             None, "ConfigError: max_batch_size must be >= 1"),
+            (["serve", "--dataset", "dashcam", "--workload", "WORKLOAD",
+              "--max-batch", "-3"],
+             None, "ConfigError: max_batch_size must be >= 1"),
+            (["serve", "--dataset", "dashcam", "--workload", "WORKLOAD",
+              "--flush-ms", "-5"],
+             None, "ConfigError: flush_latency must be finite and >= 0"),
+            (["serve", "--dataset", "dashcam", "--workload", "WORKLOAD",
+              "--flush-ms", "nan"],
+             None, "ConfigError: flush_latency must be finite and >= 0"),
+            (["serve", "--dataset", "dashcam", "--workload", "WORKLOAD",
+              "--time-scale", "nan"],
+             None, "ConfigError: time_scale must be finite and >= 0"),
+            (["serve", "--dataset", "dashcam", "--workload", "WORKLOAD",
+              "--time-scale", "-1"],
+             None, "ConfigError: time_scale must be finite and >= 0"),
         ],
         ids=["no-port", "bad-port", "executor", "serve-process",
              "fleet-process", "mp-context", "class", "nan-scale",
-             "nan-detector-fps", "nan-cost-budget"],
+             "nan-detector-fps", "nan-cost-budget", "zero-max-batch",
+             "negative-max-batch", "negative-flush-ms", "nan-flush-ms",
+             "nan-time-scale", "negative-time-scale"],
     )
     def test_listen_spec_validated(
         self, argv, mp_context, message, tmp_path, monkeypatch

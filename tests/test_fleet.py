@@ -11,6 +11,7 @@ and one cross-process detection cache.
 """
 
 import asyncio
+import math
 import multiprocessing
 import time
 
@@ -31,7 +32,6 @@ from repro.serving.placement import (
     HashTenantPolicy,
     LeastLoadedPolicy,
     make_placement_policy,
-    register_placement,
 )
 from repro.serving.workload import (
     WorkloadItem,
@@ -148,8 +148,6 @@ class TestPlacementPolicies:
         assert make_placement_policy(policy) is policy
         with pytest.raises(ConfigError, match="unknown placement"):
             make_placement_policy("nope")
-        with pytest.raises(ConfigError, match="already registered"):
-            register_placement("hash_tenant", HashTenantPolicy)
 
 
 class TestWorkloadFleetFields:
@@ -175,6 +173,34 @@ class TestWorkloadFleetFields:
             WorkloadItem(object="car", shard=-1)
         with pytest.raises(ConfigError, match="pause_after"):
             WorkloadItem(object="car", pause_after=0)
+
+    @pytest.mark.parametrize("time_scale", [math.inf, math.nan, -1.0])
+    def test_replay_rejects_non_finite_or_negative_time_scale(
+        self, time_scale
+    ):
+        """``replay_fleet`` paces with the single server's loop, so it
+        refuses the same time scales before submitting anything."""
+        submitted = []
+
+        class Router:
+            async def submit(self, item):
+                submitted.append(item)
+                return item
+
+        items = [
+            WorkloadItem(object="car"),
+            WorkloadItem(object="car", arrival=0.01),
+        ]
+
+        async def go():
+            with pytest.raises(ConfigError, match="time_scale"):
+                await asyncio.wait_for(
+                    replay_fleet(Router(), items, time_scale=time_scale),
+                    timeout=10,
+                )
+
+        asyncio.run(go())
+        assert submitted == []
 
 
 # ---------------------------------------------------------------------------

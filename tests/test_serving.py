@@ -2,11 +2,11 @@
 
 The acceptance bar, mirroring the session-API redesign's: serving must be
 *invisible* in the results. A session run on a loaded ``QueryServer`` —
-its detection fused with seven other tenants' requests, scheduled by any
-policy, paused and checkpointed mid-flight — must produce a trace
-byte-identical to the same ``(query, method, run_seed)`` run solo. What
-serving *is* allowed to change (and must, to be worth having) is the
-detector-call schedule: fewer, larger fused calls.
+its detection fused with seven other tenants' requests, paused and
+checkpointed mid-flight — must produce a trace byte-identical to the same
+``(query, method, run_seed)`` run solo. What serving *is* allowed to
+change (and must, to be worth having) is the detector-call schedule:
+fewer, larger fused calls.
 
 Every async test drives a private event loop via ``asyncio.run`` — the
 suite stays dependency-free and runs unmodified under
@@ -14,6 +14,7 @@ suite stays dependency-free and runs unmodified under
 """
 
 import asyncio
+import math
 
 import pytest
 
@@ -34,15 +35,9 @@ from repro.serving import (
     ServerConfig,
     WorkloadItem,
     load_workload,
-    make_scheduling_policy,
     replay,
     save_workload,
     serve_sessions,
-)
-from repro.serving.policies import (
-    DeadlinePolicy,
-    FewestSamplesFirstPolicy,
-    RoundRobinPolicy,
 )
 
 from tests.conftest import make_tiny_dataset
@@ -266,23 +261,6 @@ class TestServerIdentity:
 
         asyncio.run(go())
 
-    def test_scheduling_policy_does_not_change_outcomes(self):
-        queries = [DistinctObjectQuery("car", limit=3) for _ in range(4)]
-        baseline = None
-        for policy in ("round_robin", "fewest_samples", "deadline"):
-            engine = fresh_engine()
-            outcomes = engine.run_many(
-                queries,
-                batch_size=4,
-                server_config=ServerConfig(policy=policy),
-            )
-            traces = [o.trace for o in outcomes]
-            if baseline is None:
-                baseline = traces
-            else:
-                for a, b in zip(baseline, traces):
-                    assert_traces_identical(a, b)
-
     def test_batching_disabled_identical_outcomes_more_calls(self):
         queries = [DistinctObjectQuery("car", limit=3) for _ in range(4)]
 
@@ -376,9 +354,7 @@ class TestDetectorBatcher:
                 raise RuntimeError("GPU on fire")
 
         async def go():
-            batcher = DetectorBatcher(
-                RoundRobinPolicy(), flush_latency=0.001
-            )
+            batcher = DetectorBatcher(flush_latency=0.001)
             request = FrameRequest(
                 picks=[(0, 0)], videos=[0], frames=[0], class_filter=None
             )
@@ -386,8 +362,6 @@ class TestDetectorBatcher:
             class Handle:
                 seq = 0
                 tenant = "t"
-                num_samples = 0
-                deadline = None
 
             with pytest.raises(RuntimeError, match="GPU on fire"):
                 await batcher.detect(ExplodingDetector(), request, Handle())
@@ -415,81 +389,73 @@ class TestDetectorBatcher:
 
 
 # ---------------------------------------------------------------------------
-# Scheduling policies.
+# Submission order: the one service order for admission and batch assembly.
 # ---------------------------------------------------------------------------
 
 
-class _FakeHandle:
-    def __init__(self, seq, num_samples=0, deadline=None):
-        self.seq = seq
-        self.num_samples = num_samples
-        self.deadline = deadline
-        self.tenant = "t"
-
-
-class TestPolicies:
-    def test_registry_resolution(self):
-        assert isinstance(
-            make_scheduling_policy("round_robin"), RoundRobinPolicy
-        )
-        policy = DeadlinePolicy()
-        assert make_scheduling_policy(policy) is policy
-        assert isinstance(make_scheduling_policy(None), RoundRobinPolicy)
-        with pytest.raises(ConfigError, match="unknown scheduling policy"):
-            make_scheduling_policy("lifo")
-
-    def test_round_robin_orders_by_submission(self):
-        handles = [_FakeHandle(seq) for seq in (2, 0, 1)]
-        ordered = sorted(handles, key=RoundRobinPolicy().key)
-        assert [h.seq for h in ordered] == [0, 1, 2]
-
-    def test_fewest_samples_orders_by_progress(self):
-        handles = [
-            _FakeHandle(0, num_samples=9),
-            _FakeHandle(1, num_samples=2),
-            _FakeHandle(2, num_samples=2),
-        ]
-        ordered = sorted(handles, key=FewestSamplesFirstPolicy().key)
-        assert [h.seq for h in ordered] == [1, 2, 0]
-
-    def test_deadline_orders_earliest_first_none_last(self):
-        handles = [
-            _FakeHandle(0, deadline=None),
-            _FakeHandle(1, deadline=9.0),
-            _FakeHandle(2, deadline=1.0),
-        ]
-        ordered = sorted(handles, key=DeadlinePolicy().key)
-        assert [h.seq for h in ordered] == [2, 1, 0]
-
-    def test_deadline_policy_governs_admission_order(self):
+class TestSubmissionOrder:
+    def test_sessions_finish_in_submission_order_one_at_a_time(self):
         engine = fresh_engine()
-        finished_order = []
+        finished = []
 
         async def go():
-            server = engine.serve(
-                max_in_flight=1, policy="deadline", flush_latency=0.0005
-            )
+            server = engine.serve(max_in_flight=1, flush_latency=0.0005)
+            handles = [
+                await server.submit(QUERY, run_seed=seed, batch_size=2)
+                for seed in range(3)
+            ]
 
-            async def watch(handle, label):
+            async def watch(handle):
                 await handle.wait()
-                finished_order.append(label)
+                finished.append(handle.seq)
 
-            first = await server.submit(QUERY, run_seed=0, batch_size=2)
-            # Queued behind `first`; admission must pick the tighter
-            # deadline even though it was submitted later.
-            loose = await server.submit(
-                QUERY, run_seed=1, batch_size=2, deadline=60.0
-            )
-            tight = await server.submit(
-                QUERY, run_seed=2, batch_size=2, deadline=0.5
-            )
-            await asyncio.gather(
-                watch(first, "first"), watch(loose, "loose"),
-                watch(tight, "tight"),
+            await asyncio.gather(*(watch(h) for h in reversed(handles)))
+            return handles
+
+        handles = asyncio.run(go())
+        assert [h.seq for h in handles] == [0, 1, 2]
+        assert finished == [0, 1, 2]
+
+    def test_split_flush_serves_lowest_seq_first(self):
+        """A flush packs requests by ``seq``, not by arrival at the batcher:
+        the request added last but submitted first rides the first call."""
+        calls = []
+
+        class RecordingDetector:
+            cache = None
+
+            def detect_batch(self, videos, frames, class_filter=None):
+                calls.append(list(frames))
+                return [[f] for f in frames]
+
+        class Handle:
+            tenant = "t"
+
+            def __init__(self, seq):
+                self.seq = seq
+
+        def request(frames):
+            return FrameRequest(
+                picks=[(0, f) for f in frames], videos=[0] * len(frames),
+                frames=frames, class_filter=None,
             )
 
-        asyncio.run(go())
-        assert finished_order.index("tight") < finished_order.index("loose")
+        async def go():
+            detector = RecordingDetector()
+            # Frames 20 and 10 wait (2 < 4); seq 0's three frames reach the
+            # cap and flush all three requests, which must split in two.
+            batcher = DetectorBatcher(max_batch_size=4, flush_latency=60.0)
+            tasks = []
+            for seq, frames in ((2, [20]), (1, [10]), (0, [0, 1, 2])):
+                tasks.append(asyncio.ensure_future(
+                    batcher.detect(detector, request(frames), Handle(seq))
+                ))
+                await asyncio.sleep(0)
+            return await asyncio.wait_for(asyncio.gather(*tasks), timeout=10)
+
+        results = asyncio.run(go())
+        assert calls == [[0, 1, 2, 10], [20]]
+        assert results == [[[20]], [[10]], [[0], [1], [2]]]
 
 
 # ---------------------------------------------------------------------------
@@ -498,6 +464,22 @@ class TestPolicies:
 
 
 class TestAdmission:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("max_in_flight", 0),
+            ("queue_capacity", -1),
+            ("max_batch_size", 0),
+            ("max_batch_size", -3),
+            ("flush_latency", -0.005),
+            ("flush_latency", math.nan),
+            ("flush_latency", math.inf),
+        ],
+    )
+    def test_server_config_rejects_bad_values(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            ServerConfig(**{field: value})
+
     def test_max_in_flight_queues_excess_sessions(self):
         engine = fresh_engine()
         observed = {}
@@ -590,7 +572,7 @@ class TestAdmission:
                 await server.submit(session=session, batch_size=8)
             with pytest.raises(QueryError, match="cannot be combined"):
                 await server.submit(session=session, method="random")
-            # tenant/deadline/pause_after are server-side: allowed.
+            # tenant/pause_after are server-side: allowed.
             handle = await server.submit(
                 session=session, tenant="a", pause_after=1
             )
@@ -789,7 +771,7 @@ class TestWorkload:
             WorkloadItem(object="car", limit=3, tenant="a"),
             WorkloadItem(
                 object="bicycle", recall=0.5, arrival=0.5, method="random",
-                run_seed=2, deadline=4.0, batch_size=8,
+                run_seed=2, batch_size=8,
             ),
         ]
         path = tmp_path / "wl.json"
@@ -804,8 +786,19 @@ class TestWorkload:
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "wl.json"
-        path.write_text('{"queries": [{"object": "car", "limt": 3}]}')
-        with pytest.raises(ConfigError, match="unknown keys"):
+        # ``deadline`` is a retired key: sessions are served in submission
+        # order, and a file that still sets it must not run as if it did.
+        for key in ('"limt": 3', '"deadline": 2.0'):
+            path.write_text(f'{{"queries": [{{"object": "car", {key}}}]}}')
+            with pytest.raises(ConfigError, match="unknown keys"):
+                load_workload(str(path))
+
+    @pytest.mark.parametrize("arrival", ["Infinity", "NaN", "-1.0"])
+    def test_non_finite_or_negative_arrival_rejected(self, tmp_path, arrival):
+        # Python's json accepts the non-standard Infinity and NaN literals.
+        path = tmp_path / "wl.json"
+        path.write_text(f'[{{"object": "car", "arrival": {arrival}}}]')
+        with pytest.raises(ConfigError, match="arrival must be finite"):
             load_workload(str(path))
 
     def test_missing_object_rejected(self, tmp_path):
@@ -834,6 +827,30 @@ class TestWorkload:
         # server's monotonic submission counter).
         assert handles[1].seq < handles[0].seq
         assert all(h.state == "finished" for h in handles)
+
+    @pytest.mark.parametrize("time_scale", [math.inf, math.nan, -1.0])
+    def test_replay_rejects_non_finite_or_negative_time_scale(
+        self, time_scale
+    ):
+        engine = fresh_engine()
+        items = [
+            WorkloadItem(object="car", limit=1),
+            WorkloadItem(object="car", limit=1, arrival=0.01),
+        ]
+
+        async def go():
+            server = engine.serve()
+            try:
+                with pytest.raises(ConfigError, match="time_scale"):
+                    await asyncio.wait_for(
+                        replay(server, items, time_scale=time_scale),
+                        timeout=10,
+                    )
+                return server.stats().submitted
+            finally:
+                await server.shutdown()
+
+        assert asyncio.run(go()) == 0
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,6 @@ from repro.serving.executors import (
     validate_executor_spec,
 )
 from repro.serving.fleet import FleetConfig
-from repro.serving.policies import RoundRobinPolicy
 
 from tests.conftest import make_tiny_dataset
 from tests.test_query_session import assert_traces_identical
@@ -93,11 +92,9 @@ class _GatedDetector:
 
 
 class _Handle:
-    def __init__(self, seq, tenant="t", num_samples=0, deadline=None):
+    def __init__(self, seq, tenant="t"):
         self.seq = seq
         self.tenant = tenant
-        self.num_samples = num_samples
-        self.deadline = deadline
 
 
 async def _wait_event(event, timeout=10.0):
@@ -341,7 +338,6 @@ class TestPipelining:
 
         async def go():
             batcher = DetectorBatcher(
-                RoundRobinPolicy(),
                 max_batch_size=2,
                 flush_latency=0.001,
                 executor=executor,
@@ -396,7 +392,6 @@ class TestPipelining:
 
         async def go():
             batcher = DetectorBatcher(
-                RoundRobinPolicy(),
                 max_batch_size=2,
                 flush_latency=0.001,
                 executor=executor,
@@ -445,9 +440,7 @@ class TestPipelining:
         executor = ThreadDetectorExecutor()
 
         async def go():
-            batcher = DetectorBatcher(
-                RoundRobinPolicy(), flush_latency=0.001, executor=executor
-            )
+            batcher = DetectorBatcher(flush_latency=0.001, executor=executor)
             env = engine.environment("car", run_seed=0)
             request = env.propose_batch([(0, 0)])
             with pytest.raises(RuntimeError, match="GPU on fire"):
