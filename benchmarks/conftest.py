@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import pathlib
 import platform
+import subprocess
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
@@ -37,12 +38,33 @@ def save_artifact(name: str, text: str) -> None:
     print(f"\n{text}\n[saved to {path}]")
 
 
+def _git_sha():
+    """The checked-out commit, or None outside a git checkout."""
+    try:
+        done = subprocess.run(
+            ["git", "rev-parse", "HEAD"],
+            cwd=RESULTS_DIR.parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if done.returncode != 0:
+        return None
+    return done.stdout.strip() or None
+
+
 def save_metric(name: str, **values) -> None:
     """Merge one benchmark's metrics into ``BENCH_micro.json``.
 
     ``values`` should be JSON-scalar timings/ratios (seconds, speedups,
     counts). Each call overwrites only its own ``name`` section, so the
-    file accumulates every micro-benchmark that ran, in any order.
+    file accumulates every micro-benchmark that ran, in any order. A
+    timing-gated bench saves its row before it asserts, with ``gated``
+    (whether its gate applies on this machine) and ``passed`` (whether
+    it held; None when not gated), so a failed gate still leaves its
+    numbers. ``_meta.git_sha`` names the commit that was checked out.
     """
     global _bench_json_started
     RESULTS_DIR.mkdir(exist_ok=True)
@@ -56,5 +78,6 @@ def save_metric(name: str, **values) -> None:
     meta = payload.setdefault("_meta", {})
     meta["python"] = platform.python_version()
     meta["machine"] = platform.machine()
+    meta["git_sha"] = _git_sha()
     payload[name] = values
     BENCH_JSON.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

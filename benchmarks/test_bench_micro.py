@@ -105,17 +105,20 @@ def test_observe_batch_beats_per_frame_loop():
             f"speedup:   {speedup:.2f}x"
         ),
     )
+    # Strict "batched beats per-frame" by default; shared CI runners set
+    # BENCH_TIMING_TOLERANCE (e.g. 1.2) to keep this a no-major-regression
+    # gate instead of an intermittent red on scheduler noise.
+    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
+    passed = t_batched < t_per_frame * tolerance
     save_metric(
         "observe_batch",
         per_frame_ms=t_per_frame * 1e3,
         batched_ms=t_batched * 1e3,
         speedup=speedup,
+        gated=True,
+        passed=passed,
     )
-    # Strict "batched beats per-frame" by default; shared CI runners set
-    # BENCH_TIMING_TOLERANCE (e.g. 1.2) to keep this a no-major-regression
-    # gate instead of an intermittent red on scheduler noise.
-    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
-    assert t_batched < t_per_frame * tolerance, (
+    assert passed, (
         f"batched path slower than per-frame loop: "
         f"{t_batched * 1e3:.2f}ms vs {t_per_frame * 1e3:.2f}ms "
         f"(tolerance {tolerance}x)"
@@ -275,14 +278,17 @@ def test_session_stepping_within_10pct_of_monolithic_loop():
             f"overhead:   {overhead:.3f}x"
         ),
     )
+    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
+    passed = t_sess <= t_mono * 1.10 * tolerance
     save_metric(
         "session_stepping",
         monolithic_ms=t_mono * 1e3,
         session_ms=t_sess * 1e3,
         overhead=overhead,
+        gated=True,
+        passed=passed,
     )
-    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
-    assert t_sess <= t_mono * 1.10 * tolerance, (
+    assert passed, (
         f"session-stepped execution {overhead:.3f}x slower than the "
         f"monolithic loop (allowed: 1.10 x tolerance {tolerance})"
     )
@@ -344,15 +350,18 @@ def test_detection_cache_sweep_speedup():
             f"final cache state: {info}"
         ),
     )
+    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
+    passed = speedup >= 3.0 / tolerance
     save_metric(
         "cache_sweep",
         cold_ms=t_cold * 1e3,
         cached_ms=t_cached * 1e3,
         speedup=speedup,
         cache_hit_rate=info.hit_rate,
+        gated=True,
+        passed=passed,
     )
-    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
-    assert speedup >= 3.0 / tolerance, (
+    assert passed, (
         f"cached sweep only {speedup:.2f}x faster than cold "
         f"(required: 3.0x / tolerance {tolerance})"
     )
@@ -471,20 +480,23 @@ def test_vectorized_detector_speedup():
             f"speedup:      {speedup:.2f}x"
         ),
     )
+    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
+    passed = speedup >= 2.0 / tolerance
     save_metric(
         "vectorized_detector",
         per_instance_ms=t_ref * 1e3,
         vectorized_ms=t_vec * 1e3,
         speedup=speedup,
+        gated=True,
+        passed=passed,
     )
-    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
-    assert speedup >= 2.0 / tolerance, (
+    assert passed, (
         f"vectorized detector only {speedup:.2f}x over the per-instance "
         f"loop (required: 2.0x / tolerance {tolerance})"
     )
 
 
-def _shm_world_probe(world, item):
+def _world_probe(world, item):
     """Trivial worker body: the cost under test is task *dispatch*."""
     return (item, world.num_instances)
 
@@ -506,31 +518,33 @@ def _shm_cache_sweep(engine, run_seed):
     return [(o.d0, o.d1, o.cost) for o in observations], info.hits, info.misses
 
 
-def test_shared_world_spawn_dispatch():
-    """Per-task dispatch with a shared world must beat re-pickling >= 2x.
+def test_world_spawn_dispatch():
+    """Per-task dispatch of a built world must beat by-value pickling >= 2x.
 
-    The spawn start method pays full task serialization per submit: with
-    an unpublished world every task ships megabytes of instances; with
-    the world published to shared memory it ships a ~100-byte handle and
-    workers attach zero-copy views once per process. Both sides run
-    through the *same* warmed 2-worker spawn pool with a trivial task
-    body, so the measured difference is serialization, not work or pool
-    startup. Results are compared, so the speedup is provably not from
-    doing different work. The comparison is serialization-bound rather
-    than core-bound, so the gate holds on 1-core runners too;
-    BENCH_TIMING_TOLERANCE relaxes it against scheduler noise.
+    The spawn start method pays full task serialization per submit. A
+    world the builder made pickles as its recipe (a few hundred bytes),
+    and each worker rebuilds it once, on its first task, then reuses it;
+    the same world built straight from its columns pickles by value, so
+    every task ships megabytes. Each side runs in its own warmed 2-worker
+    spawn pool with a trivial task body, so the measured difference is
+    serialization plus one rebuild per worker, not work or pool startup.
+    The gate compares the best of 3 rounds; the first round, which pays
+    the rebuilds, is recorded next to it. Results are compared, so the
+    speedup is provably not from doing different work. The comparison is
+    serialization-bound rather than core-bound, so the gate holds on
+    1-core runners too; BENCH_TIMING_TOLERANCE relaxes it against
+    scheduler noise.
     """
     import pickle
     from concurrent.futures import ProcessPoolExecutor
     from functools import partial
     from multiprocessing import get_context
 
-    from repro.parallel.shm import SharedWorldStore
-    from repro.video.synthetic import ClassSpec, build_world
+    from repro.video.synthetic import ClassSpec, SyntheticWorld, build_world
     from repro.video.video import Video, VideoRepository
 
     repo = VideoRepository(
-        [Video("shmbench-0", 400_000, fps=10.0, width=1280, height=720)]
+        [Video("dispatch-0", 400_000, fps=10.0, width=1280, height=720)]
     )
     world = build_world(
         repo,
@@ -540,54 +554,63 @@ def test_shared_world_spawn_dispatch():
         ],
         seed=0,
     )
-    world_bytes = len(pickle.dumps(world))
+    by_value = SyntheticWorld(world.repository, world.instance_arrays())
+    recipe_bytes = len(pickle.dumps(world))
+    world_bytes = len(pickle.dumps(by_value))
+    assert recipe_bytes < 2048 < world_bytes
     tasks = list(range(12))
-    fn = partial(_shm_world_probe, world)
     expected = [(i, world.num_instances) for i in tasks]
 
-    def dispatch_best_of(rounds=3):
+    def dispatch(sent, rounds=3):
+        """(first round, best round) seconds for the task list."""
+        fn = partial(_world_probe, sent)
         with ProcessPoolExecutor(
             max_workers=2, mp_context=get_context("spawn")
         ) as pool:
             assert list(pool.map(_noop, range(2))) == [0, 1]  # warm workers
-            best = float("inf")
+            elapsed = []
             for _ in range(rounds):
                 start = time.perf_counter()
                 futures = [pool.submit(fn, item) for item in tasks]
                 results = [future.result() for future in futures]
-                best = min(best, time.perf_counter() - start)
+                elapsed.append(time.perf_counter() - start)
                 assert results == expected
-        return best
+        return elapsed[0], min(elapsed)
 
-    t_pickled = dispatch_best_of()
-    with SharedWorldStore(world):
-        assert len(pickle.dumps(world)) < 512
-        t_shared = dispatch_best_of()
-    assert world._shared_handle is None
-    speedup = t_pickled / t_shared
+    first_pickled, t_pickled = dispatch(by_value)
+    first_recipe, t_recipe = dispatch(world)
+    speedup = t_pickled / t_recipe
     save_artifact(
-        "micro_shared_world_dispatch",
+        "micro_world_dispatch",
         (
-            f"spawn-pool task dispatch: shared-memory world vs re-pickled "
-            f"world ({len(tasks)} tasks, {world.num_instances} instances, "
-            f"{world_bytes / 1e6:.1f} MB pickled)\n"
-            f"pickled world: {t_pickled * 1e3:.2f} ms\n"
-            f"shared world:  {t_shared * 1e3:.2f} ms\n"
-            f"speedup:       {speedup:.2f}x"
+            f"spawn-pool task dispatch: recipe-pickled world vs by-value "
+            f"world ({len(tasks)} tasks, {world.num_instances} instances; "
+            f"recipe {recipe_bytes} B, by value {world_bytes / 1e6:.1f} MB)\n"
+            f"by value: best {t_pickled * 1e3:.2f} ms, "
+            f"first round {first_pickled * 1e3:.2f} ms\n"
+            f"recipe:   best {t_recipe * 1e3:.2f} ms, "
+            f"first round {first_recipe * 1e3:.2f} ms (one rebuild per worker)\n"
+            f"speedup (best rounds): {speedup:.2f}x"
         ),
     )
+    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
+    passed = speedup >= 2.0 / tolerance
     save_metric(
-        "shared_world_dispatch",
+        "world_dispatch",
         pickled_ms=t_pickled * 1e3,
-        shared_ms=t_shared * 1e3,
+        recipe_ms=t_recipe * 1e3,
+        first_round_pickled_ms=first_pickled * 1e3,
+        first_round_recipe_ms=first_recipe * 1e3,
         speedup=speedup,
+        recipe_bytes=recipe_bytes,
         world_mb=world_bytes / 1e6,
         tasks=len(tasks),
         cores=os.cpu_count() or 1,
+        gated=True,
+        passed=passed,
     )
-    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
-    assert speedup >= 2.0 / tolerance, (
-        f"shared-world dispatch only {speedup:.2f}x over pickled-world "
+    assert passed, (
+        f"recipe-world dispatch only {speedup:.2f}x over by-value world "
         f"dispatch (required: 2.0x / tolerance {tolerance})"
     )
 
@@ -702,6 +725,9 @@ def test_parallel_traces_scaling():
             f"traces: parallel == serial, element-wise"
         ),
     )
+    gated = cores >= 4
+    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
+    passed = speedup >= 2.0 / tolerance if gated else None
     save_metric(
         "parallel_scaling",
         serial_ms=t_serial * 1e3,
@@ -709,10 +735,11 @@ def test_parallel_traces_scaling():
         speedup=speedup,
         jobs=4,
         cores=cores,
+        gated=gated,
+        passed=passed,
     )
-    if cores >= 4:
-        tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
-        assert speedup >= 2.0 / tolerance, (
+    if gated:
+        assert passed, (
             f"jobs=4 only {speedup:.2f}x over serial on {cores} cores "
             f"(required: 2.0x / tolerance {tolerance})"
         )
@@ -834,6 +861,9 @@ def test_serving_cross_session_batching_cuts_detector_calls():
             f"outcomes: identical element-wise across all four modes"
         ),
     )
+    gated = cores >= 2
+    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
+    passed = overlap_speedup >= 1.3 / tolerance if gated else None
     save_metric(
         "serving_batching",
         sessions=n_sessions,
@@ -848,14 +878,15 @@ def test_serving_cross_session_batching_cuts_detector_calls():
         per_session_ms=plain_s * 1e3,
         solo_ms=solo_s * 1e3,
         cores=cores,
+        gated=gated,
+        passed=passed,
     )
     assert fused_calls * 2 <= plain_calls, (
         f"cross-session batching saved only {reduction:.2f}x detector calls "
         f"({fused_calls} fused vs {plain_calls} per-session; required >=2x)"
     )
-    if cores >= 2:
-        tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
-        assert overlap_speedup >= 1.3 / tolerance, (
+    if gated:
+        assert passed, (
             f"fused+overlapped serving only {overlap_speedup:.2f}x over "
             f"sequential solo on {cores} cores "
             f"(required: 1.3x / tolerance {tolerance})"
@@ -956,6 +987,9 @@ def test_fleet_scaling_throughput():
             f"outcomes: identical element-wise to solo runs at both widths"
         ),
     )
+    gated = cores >= 2
+    tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
+    passed = speedup >= 1.5 / tolerance if gated else None
     save_metric(
         "fleet_scaling",
         sessions=len(items),
@@ -963,11 +997,11 @@ def test_fleet_scaling_throughput():
         two_shard_ms=t_fleet * 1e3,
         speedup=speedup,
         cores=cores,
-        gated=cores >= 2,
+        gated=gated,
+        passed=passed,
     )
-    if cores >= 2:
-        tolerance = float(os.environ.get("BENCH_TIMING_TOLERANCE", "1.0"))
-        assert speedup >= 1.5 / tolerance, (
+    if gated:
+        assert passed, (
             f"2-shard fleet sped replay up only {speedup:.2f}x on {cores} "
             f"cores (required >=1.5x)"
         )

@@ -2,12 +2,12 @@
 
 One server process means one GIL and one event loop; the fleet layer
 scales the serving story sideways. A :class:`repro.serving.FleetRouter`
-spawns N shard server processes — each owning a full engine over a
-shared-memory world segment and one cross-process detection cache — and
-routes every submission by a placement policy (tenant-affine hashing
-here). Shards speak the newline-delimited JSON wire protocol
-(:mod:`repro.serving.net`), so everything below also works against
-``repro serve --listen`` across machines.
+spawns N shard server processes — each owning a full engine over the
+same dataset and one cross-process detection cache — and routes every
+submission by a placement policy (tenant-affine hashing here). Shards
+speak the newline-delimited JSON wire protocol (:mod:`repro.serving.net`),
+so everything below also works against ``repro serve --listen`` across
+machines.
 
 Three properties are demonstrated (and asserted):
 

@@ -11,7 +11,7 @@ Every harness executes its independent units (runs, trials, cells, rows)
 through :mod:`repro.experiments.parallel`: set ``REPRO_JOBS=N`` (or the CLI
 ``--jobs``) to fan them out over N worker processes with results
 element-wise identical to the serial path. Synthetic worlds reach those
-workers over shared memory, and ``REPRO_CACHE=shared``
+workers as their builder recipes, and ``REPRO_CACHE=shared``
 (``--shared-cache``) joins every process onto one detection memo; see
 :mod:`repro.parallel.shm`.
 """

@@ -27,21 +27,16 @@ themselves via the ``REPRO_IN_WORKER`` environment variable, so nested
 ``parallel_map`` calls (a parallelised experiment whose cells call
 ``repeated_traces``) stay serial instead of oversubscribing.
 
-Two shared-memory levers (see :mod:`repro.parallel.shm`) hang off the
-pool lifecycle, both result-invariant:
-
-* every :class:`~repro.video.synthetic.SyntheticWorld` reachable from
-  the callable and its first task (where every harness in this library
-  carries its engine) is published into a named shared-memory segment
-  for the duration of the pool: tasks then carry ~100-byte handles
-  instead of re-pickled worlds, and workers attach zero-copy views once
-  per process. ``parallel_map`` owns the segments — they are unlinked
-  when the pool exits, normally or through a worker crash.
-* ``--cache shared`` / ``REPRO_CACHE=shared`` (opt-in) routes every engine —
-  parent-built and worker-built alike — onto one
-  :class:`~repro.parallel.shm.SharedDetectionCache`, so a frame any
-  process detected is a cache hit for all of them. ``parallel_map``
-  hands the parent's cache to workers through the pool initializer.
+Tasks carry their engines, and with them their synthetic worlds. A
+built :class:`~repro.video.synthetic.SyntheticWorld` pickles as its
+recipe (a few hundred bytes), and each worker rebuilds it once and keeps
+it in a per-process memo for every later task. ``--cache shared`` /
+``REPRO_CACHE=shared`` (opt-in) routes every engine — parent-built and
+worker-built alike — onto one
+:class:`~repro.parallel.shm.SharedDetectionCache`, so a frame any
+process detected is a cache hit for all of them; ``parallel_map`` hands
+the parent's cache to workers through the pool initializer. Both are
+result-invariant.
 
 Worker processes rebuild datasets/engines on demand through
 :func:`dataset_engine`, a bounded process-local memo that honors the
@@ -51,17 +46,15 @@ already built the engine shares it with every worker for free.
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import warnings
 from functools import lru_cache, partial
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.core.sampler import SearchTrace
 from repro.errors import ConfigError
 from repro.parallel.procs import process_pool
-from repro.video.synthetic import SyntheticWorld
 
 __all__ = [
     "clear_dataset_engines",
@@ -108,52 +101,6 @@ def _adopt_cache(shared_cache) -> None:
     adopt_shared_cache(shared_cache)
 
 
-class _TaskScanner(pickle.Pickler):
-    """A pickling probe that records every world the pickle stream visits.
-
-    One dry-run dump answers both pre-flight questions: *does the task
-    pickle at all* (the serial-fallback check) and *which synthetic
-    worlds would it ship* (the candidates for shared-memory publication).
-    Worlds themselves are recorded and then stubbed out of the probe —
-    they always pickle (by value or as a shared handle), so serializing
-    their megabytes into a discarded buffer would be pure waste.
-    """
-
-    def __init__(self, buffer):
-        super().__init__(buffer, protocol=pickle.HIGHEST_PROTOCOL)
-        self.worlds: List[SyntheticWorld] = []
-
-    def reducer_override(self, obj):
-        if isinstance(obj, SyntheticWorld):
-            if not any(obj is seen for seen in self.worlds):
-                self.worlds.append(obj)
-            return (int, ())
-        return NotImplemented
-
-
-def _probe_task(
-    fn: Callable, item
-) -> Tuple[Optional[List[SyntheticWorld]], Optional[BaseException]]:
-    """Pickle ``fn`` with one representative item, once.
-
-    Returns ``(worlds, None)`` on success or ``(None, error)`` when the
-    task does not pickle. Probing one item instead of the whole task
-    list keeps pre-flight peak memory at one task's worth — the full
-    list is serialized exactly once, at submit time. The trade-offs are
-    deliberate: an item past index 0 that uniquely fails to pickle
-    surfaces as a submit-time error instead of a silent serial
-    fallback, and worlds reachable only through later items are not
-    published (no caller shapes tasks that way — engines ride in ``fn``
-    or uniformly in every item).
-    """
-    scanner = _TaskScanner(io.BytesIO())
-    try:
-        scanner.dump((fn, item))
-    except Exception as exc:
-        return None, exc
-    return scanner.worlds, None
-
-
 def parallel_map(
     fn: Callable,
     items: Iterable,
@@ -169,39 +116,33 @@ def parallel_map(
     pickled (with a ``RuntimeWarning`` naming what failed); a worker
     exception propagates to the caller either way.
 
-    Synthetic worlds travel over shared memory instead of being
-    re-pickled per task. The pool owns any segments it publishes: they
-    are unlinked on normal completion, on error, and on worker crash
-    alike.
+    Only ``fn`` with the first item is probed: an item past index 0
+    that alone fails to pickle surfaces as a submit-time error instead
+    of a serial fallback, and the probe costs one task's worth of
+    memory.
     """
     items = list(items)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(items) <= 1:
         return [fn(item) for item in items]
-    worlds, pickle_error = _probe_task(fn, items[0])
-    if pickle_error is not None:
+    try:
+        pickle.dumps((fn, items[0]), protocol=pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
         warnings.warn(
             f"parallel_map: running {len(items)} tasks serially because "
-            f"the task does not pickle: {pickle_error!r} (fn={fn!r})",
+            f"the task does not pickle: {exc!r} (fn={fn!r})",
             RuntimeWarning,
             stacklevel=2,
         )
         return [fn(item) for item in items]
-    from repro.parallel.shm import publish_worlds, shared_detection_cache
-
     initializer, initargs = None, ()
     if _shared_cache_enabled():
-        # Before publishing any world: if the manager fails to start,
-        # nothing is published yet and nothing needs unwinding.
+        from repro.parallel.shm import shared_detection_cache
+
         initializer, initargs = _adopt_cache, (shared_detection_cache(),)
-    stores = publish_worlds(worlds)
-    try:
-        with process_pool(min(jobs, len(items)), initializer, initargs) as pool:
-            futures = [pool.submit(fn, item) for item in items]
-            return [future.result() for future in futures]
-    finally:
-        for store in stores:
-            store.close()
+    with process_pool(min(jobs, len(items)), initializer, initargs) as pool:
+        futures = [pool.submit(fn, item) for item in items]
+        return [future.result() for future in futures]
 
 
 # -- repeated searcher runs --------------------------------------------------
@@ -276,7 +217,7 @@ def parallel_sweep_methods(
     The parallel counterpart of :func:`repro.experiments.runner
     .sweep_methods` (which delegates here): each method runs in its own
     worker against a pickled copy of the engine, whose world travels as
-    a shared-memory handle instead of being re-pickled per method.
+    its recipe and is rebuilt once per worker.
     Outcomes are identical to the serial sweep — every run derives only
     from ``(engine seed, method, run_seed)`` — and arrive in method
     order. Third-party methods travel

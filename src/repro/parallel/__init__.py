@@ -1,29 +1,19 @@
-"""Shared-memory state transport for process-parallel execution.
+"""Process plumbing shared by experiment pools and the serving fleet.
 
-See :mod:`repro.parallel.shm` for the two primitives: a
-:class:`~repro.parallel.shm.SharedWorldStore` that ships synthetic
-worlds to workers as ~100-byte handles over named shared memory, and a
+:mod:`repro.parallel.procs` is how every child process the library
+starts is started and stopped. :mod:`repro.parallel.shm` holds the
 :class:`~repro.parallel.shm.SharedDetectionCache` that gives every
-process in a pool one detection memo. :mod:`repro.parallel.procs` is
-how every child process the library starts is started and stopped.
+process in a pool one detection memo.
 """
 
 from repro.parallel.shm import (
     SharedDetectionCache,
-    SharedWorldHandle,
-    SharedWorldStore,
     adopt_shared_cache,
-    attach_shared_world,
-    publish_worlds,
     shared_detection_cache,
 )
 
 __all__ = [
     "SharedDetectionCache",
-    "SharedWorldHandle",
-    "SharedWorldStore",
     "adopt_shared_cache",
-    "attach_shared_world",
-    "publish_worlds",
     "shared_detection_cache",
 ]

@@ -1,62 +1,31 @@
-"""Shared-memory state transport for process-parallel experiments.
+"""One detection memo for every process of a pool or fleet.
 
 ExSample's premise is that detector invocations dominate cost, so the
 machinery *around* detection must be as close to free as the OS allows.
-The process-parallel backbone (:mod:`repro.experiments.parallel`) broke
-that premise in two ways: every task shipped to a worker re-pickled the
-entire :class:`~repro.video.synthetic.SyntheticWorld` (megabytes of
-columns, serialized per *task*, not per worker), and
-every worker warmed its own private detection memo, re-paying detection
-for frames a sibling had already resolved. EKO (Bang et al., 2021) makes
-the same observation for adaptive video sampling at large: amortize
-storage and decode state across queries so only the sampling logic stays
-on the hot path.
+Every process of a worker pool (:mod:`repro.experiments.parallel`) or a
+fleet (:mod:`repro.serving.fleet`) would otherwise warm its own private
+detection memo, re-paying detection for frames a sibling had already
+resolved. EKO (Bang et al., 2021) makes the same observation for
+adaptive video sampling at large: amortize storage and decode state
+across queries so only the sampling logic stays on the hot path.
 
-This module closes both gaps:
-
-:class:`SharedWorldStore`
-    Parent-side owner of one world's columnar state in a named POSIX
-    ``multiprocessing.shared_memory`` segment. Publishing a world flips
-    its pickle representation to a ~100-byte :class:`SharedWorldHandle`;
-    workers that unpickle the handle attach the segment **once per
-    process** (memoized) and rebuild the world as zero-copy numpy views
-    over the parent's pages. Spawn-start platforms stop paying per-task
-    world serialization entirely; fork platforms stop paying it for
-    tasks submitted after a copy-on-write fault would have.
-
-:class:`SharedDetectionCache`
-    One detection memo for every process in a pool: a dict proxy served
-    by a ``multiprocessing.Manager`` holding *serialized* detection rows
-    keyed like :class:`~repro.detection.cache.DetectionCache`. The
-    manager server executes each dict operation atomically, and because
-    detection is a pure function of ``(seed, video, frame)``, concurrent
-    writers racing on one key store byte-identical rows — last write
-    wins harmlessly, so no cross-operation lock is needed. Adopt it
-    through the existing cache knob: ``QueryEngine(dataset,
-    detection_cache="shared")`` or CLI ``--cache shared``.
-
-Segment lifecycle is owned by whoever created the store (normally the
-pool lifecycle in :func:`repro.experiments.parallel.parallel_map`):
-``close()`` unlinks the segment on normal exit *and* on worker crash
-(the pool context manager unwinds through it), and an ``atexit`` hook
-backstops segments a hard error left behind. Workers deliberately hand
-segment ownership back to the parent after attaching — Python's
-resource tracker would otherwise unlink a segment the parent still
-serves the moment any one worker exits.
+:class:`SharedDetectionCache` is a dict proxy served by a
+``multiprocessing.Manager`` holding *serialized* detection rows keyed
+like :class:`~repro.detection.cache.DetectionCache`. The manager server
+executes each dict operation atomically, and because detection is a
+pure function of ``(seed, video, frame)``, concurrent writers racing on
+one key store byte-identical rows — last write wins harmlessly, so no
+cross-operation lock is needed. Adopt it through the existing cache
+knob: ``QueryEngine(dataset, detection_cache="shared")`` or CLI
+``--cache shared``.
 """
 
 from __future__ import annotations
 
-import atexit
 import os
 import pickle
-import struct
 import uuid
-from dataclasses import dataclass
-from multiprocessing import shared_memory
-from typing import Dict, Iterable, List, Optional, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional
 
 from repro.detection.cache import (
     CacheInfo,
@@ -64,202 +33,13 @@ from repro.detection.cache import (
     DetectionCache,
     ScopeCacheInfo,
 )
-from repro.errors import ConfigError
 from repro.parallel.procs import start_manager
 
 __all__ = [
     "SharedDetectionCache",
-    "SharedWorldHandle",
-    "SharedWorldStore",
     "adopt_shared_cache",
-    "attach_shared_world",
-    "publish_worlds",
     "shared_detection_cache",
 ]
-
-#: Every segment this library creates carries this prefix, so hygiene
-#: tests (and a worried operator listing /dev/shm) can tell ours apart.
-SEGMENT_PREFIX = "repro_shm_"
-
-#: Segment header: (meta pickle length, absolute offset of the array area).
-_HEADER = struct.Struct("<QQ")
-
-#: Array starts are aligned for fast int64/float64 views.
-_ALIGN = 64
-
-
-def _align(offset: int) -> int:
-    return (offset + _ALIGN - 1) & ~(_ALIGN - 1)
-
-
-@dataclass(frozen=True)
-class SharedWorldHandle:
-    """The pickled form of a published world: a segment name, nothing else.
-
-    All layout information (array dtypes/shapes/offsets, video metadata,
-    class names) lives inside the segment's own header, so the handle
-    stays ~100 bytes however large the world is.
-    """
-
-    segment: str
-
-
-#: Parent-side stores by segment name (for cleanup and same-process attach).
-_LIVE_STORES: Dict[str, "SharedWorldStore"] = {}
-
-#: Worker-side attached worlds by segment name: attach once per process.
-_ATTACHED_WORLDS: Dict[str, object] = {}
-
-#: Keeps each attached segment's mapping alive while its views are in use.
-_ATTACHED_SEGMENTS: Dict[str, shared_memory.SharedMemory] = {}
-
-
-class SharedWorldStore:
-    """Publishes one world's columnar state into a shared-memory segment.
-
-    Creating the store copies the world's columns (its
-    :class:`~repro.video.synthetic.InstanceArrays`) and its class and
-    video metadata into a fresh named segment and marks the world as
-    published: from then until :meth:`close`, pickling the world emits a
-    :class:`SharedWorldHandle` instead of its columns.
-
-    The creator owns the segment. Use as a context manager (or call
-    :meth:`close`) so the name is unlinked from ``/dev/shm`` on success,
-    error and worker crash alike; a module ``atexit`` hook backstops
-    stores that were never closed.
-    """
-
-    def __init__(self, world):
-        if getattr(world, "_shared_handle", None) is not None:
-            raise ConfigError(
-                "world is already published to shared memory; close its "
-                "existing SharedWorldStore first"
-            )
-        columns, meta = world.shared_columns()
-        specs: List[Tuple[str, str, tuple, int]] = []
-        planned: List[Tuple[int, np.ndarray]] = []
-        data_size = 0
-        for key, array in columns.items():
-            array = np.ascontiguousarray(array)
-            offset = _align(data_size)
-            specs.append((key, array.dtype.str, array.shape, offset))
-            planned.append((offset, array))
-            data_size = offset + array.nbytes
-        meta_blob = pickle.dumps(
-            {"meta": meta, "specs": specs}, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        data_base = _align(_HEADER.size + len(meta_blob))
-        name = SEGMENT_PREFIX + uuid.uuid4().hex[:16]
-        self._shm = shared_memory.SharedMemory(
-            name=name, create=True, size=max(data_base + data_size, 1)
-        )
-        buf = self._shm.buf
-        _HEADER.pack_into(buf, 0, len(meta_blob), data_base)
-        buf[_HEADER.size : _HEADER.size + len(meta_blob)] = meta_blob
-        for offset, array in planned:
-            if array.nbytes == 0:
-                continue
-            view = np.ndarray(
-                array.shape,
-                dtype=array.dtype,
-                buffer=buf,
-                offset=data_base + offset,
-            )
-            view[...] = array
-        self.world = world
-        self.handle = SharedWorldHandle(segment=name)
-        world._shared_handle = self.handle
-        _LIVE_STORES[name] = self
-
-    def close(self) -> None:
-        """Unpublish the world and unlink the segment (idempotent)."""
-        name = self.handle.segment
-        if _LIVE_STORES.pop(name, None) is None:
-            return
-        if getattr(self.world, "_shared_handle", None) == self.handle:
-            self.world._shared_handle = None
-        try:
-            self._shm.close()
-            self._shm.unlink()
-        except FileNotFoundError:  # pragma: no cover - already gone
-            pass
-
-    def __enter__(self) -> "SharedWorldStore":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
-def publish_worlds(worlds: Iterable) -> List[SharedWorldStore]:
-    """Publish every not-yet-published world; returns the stores to close.
-
-    Worlds that already travel as handles (published by an outer scope)
-    are left alone — their owner closes them.
-    """
-    stores: List[SharedWorldStore] = []
-    seen: set = set()
-    for world in worlds:
-        if id(world) in seen:
-            continue
-        seen.add(id(world))
-        if getattr(world, "_shared_handle", None) is not None:
-            continue
-        stores.append(SharedWorldStore(world))
-    return stores
-
-
-def attach_shared_world(handle: SharedWorldHandle):
-    """Rebuild a world from its shared segment (the unpickle target).
-
-    Attachment is memoized per process: however many tasks a worker
-    executes, the segment is mapped and parsed once, and every unpickle
-    of the same handle returns the *same* world object — preserving
-    object identity across an engine's internal references exactly as
-    in-process pickling memoization would. In the publishing process
-    itself the original world is returned directly.
-    """
-    world = _ATTACHED_WORLDS.get(handle.segment)
-    if world is not None:
-        return world
-    store = _LIVE_STORES.get(handle.segment)
-    if store is not None:
-        return store.world
-    # Attaching registers the name with the resource tracker a second
-    # time; registration is a set shared by the whole process tree, so
-    # this collapses harmlessly and the creating store's unlink()
-    # unregisters the name once for everyone. The tracker only acts at
-    # tree shutdown, which leaves it as exactly the crash backstop we
-    # want: a hard-killed parent's segments are still reaped.
-    segment = shared_memory.SharedMemory(name=handle.segment)
-    meta_len, data_base = _HEADER.unpack_from(segment.buf, 0)
-    payload = pickle.loads(bytes(segment.buf[_HEADER.size : _HEADER.size + meta_len]))
-    columns: Dict[str, np.ndarray] = {}
-    for key, dtype, shape, offset in payload["specs"]:
-        view = np.ndarray(
-            shape, dtype=np.dtype(dtype), buffer=segment.buf, offset=data_base + offset
-        )
-        view.flags.writeable = False
-        columns[key] = view
-    from repro.video.synthetic import InstanceArrays, SyntheticWorld
-
-    meta = payload["meta"]
-    world = SyntheticWorld(
-        meta["repository"],
-        InstanceArrays(**columns, class_names=meta["class_names"]),
-        shared_handle=handle,
-    )
-    _ATTACHED_WORLDS[handle.segment] = world
-    _ATTACHED_SEGMENTS[handle.segment] = segment
-    return world
-
-
-def _close_all_stores() -> None:  # pragma: no cover - interpreter shutdown
-    for store in list(_LIVE_STORES.values()):
-        store.close()
-
-
-atexit.register(_close_all_stores)
 
 
 # -- one detection memo for a whole pool -------------------------------------

@@ -51,9 +51,11 @@ from repro.errors import QueryError
 #: holds one order generator for all its chunk orders and a discriminator
 #: one track-extension generator. v6 keeps it too; an ExSample searcher
 #: over more than 256 chunks now holds the chunk groups of its grouped
-#: Thompson draw. Only the current version restores: an older blob gets a
+#: Thompson draw. v7 keeps it too; a built synthetic world now pickles as
+#: its builder recipe plus content digest instead of its columns. Only the
+#: current version restores: an older blob gets a
 #: :class:`~repro.errors.QueryError`.
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,9 @@ building blocks end to end:
 * each **shard** is a child process running a full
   :class:`~repro.serving.net.NetServer` over its own
   :class:`~repro.query.engine.QueryEngine`, built against the *same*
-  dataset and engine seed as the parent's — the dataset's world is
-  published once into shared memory (:func:`repro.parallel.shm
-  .publish_worlds`), so spawning a shard ships a ~100-byte handle, not
-  megabytes of world;
+  dataset and engine seed as the parent's — a forked shard inherits the
+  dataset, and a spawned one receives the world as its recipe (a few
+  hundred bytes) and rebuilds it;
 * all shards adopt one :class:`~repro.parallel.shm
   .SharedDetectionCache`, so a frame any shard detected is a hit for
   every shard after it and :meth:`FleetRouter.stats` can aggregate
@@ -68,7 +67,7 @@ from repro.errors import (
     WireTimeoutError,
 )
 from repro.parallel.procs import mp_context, start_child, stop_process
-from repro.parallel.shm import SharedDetectionCache, publish_worlds
+from repro.parallel.shm import SharedDetectionCache
 from repro.serving.faults import FaultPlan
 from repro.serving.net import (
     FleetClient,
@@ -493,7 +492,6 @@ class FleetRouter:
         self.config = config
         self.placement = make_placement_policy(config.placement)
         self.shards: List[_Shard] = []
-        self._stores = []  # SharedWorldStores owned by this fleet
         self._cache: Optional[SharedDetectionCache] = None
         self._capacity = asyncio.Condition()
         self._handles: List[FleetHandle] = []
@@ -523,9 +521,11 @@ class FleetRouter:
         """Spawn the shard processes and connect to them.
 
         ``config`` or keyword overrides build a :class:`FleetConfig`
-        (``n_shards`` is accepted positionally for convenience). The
-        dataset's world is published to shared memory for the duration
-        of the fleet, so every start method ships it as a handle.
+        (``n_shards`` is accepted positionally for convenience). A
+        forked shard inherits the dataset; under ``spawn`` and
+        ``forkserver`` a shard receives the world as its recipe and
+        rebuilds it. Checkpoints carry the recipe too, so the router's
+        recovery table outlives the fleet and restores in any process.
         """
         if config is not None and (overrides or n_shards is not None):
             raise ConfigError("pass config= or keyword overrides, not both")
@@ -543,7 +543,6 @@ class FleetRouter:
 
     async def _start(self, dataset, engine_seed: int) -> None:
         self._ctx = mp_context()
-        self._stores = publish_worlds([dataset.world])
         if self.config.shared_cache:
             # A private store per fleet: counters and entries belong to
             # this fleet's lifetime, not the process-global singleton.
@@ -684,9 +683,6 @@ class FleetRouter:
         for handle in self._handles:
             if not handle.done:
                 handle._fail(QueryError("fleet shut down"))
-        for store in self._stores:
-            store.close()
-        self._stores = []
 
     # -- submission ----------------------------------------------------------
 

@@ -22,6 +22,10 @@ it); ops that address a session carry its submission id ``sid``::
     {"op": "drain",      "rid": "r7", "checkpoint": false}
     {"op": "shutdown",   "rid": "r8"}
 
+Each op handler declares the keys its frames may carry; a frame with any
+other key is answered by a typed ``ConfigError`` frame and admits
+nothing, so a misspelled option is never silently dropped.
+
 Server frames are responses (``{"rid": ..., "ok": true, ...}``), typed
 error frames (``{"rid": ..., "error": "ServerOverloadedError",
 "message": ...}`` — the client re-raises the named
@@ -246,6 +250,23 @@ OP_IDEMPOTENCY: Dict[str, bool] = {
 }
 
 
+def _accepts(*keys: str):
+    """Declare the keys an op handler's frames may carry.
+
+    ``op`` and ``rid`` are implied. :meth:`NetServer._dispatch` answers
+    a frame with any other key by a typed ``ConfigError`` before the
+    handler runs, as :func:`~repro.serving.workload.item_from_json` does
+    for a bad submit item: a misspelled ``pause_after`` must not start a
+    session that never pauses.
+    """
+
+    def declare(handler):
+        handler.frame_keys = frozenset(("op", "rid", *keys))
+        return handler
+
+    return declare
+
+
 def _retrieve_task_exception(task: asyncio.Task) -> None:
     """Done-callback that marks a task's exception as retrieved.
 
@@ -403,6 +424,12 @@ class NetServer:
             handler = getattr(self, f"_op_{op}", None)
             if handler is None:
                 raise ProtocolError(f"unknown op {op!r}")
+            unknown = set(frame) - handler.frame_keys
+            if unknown:
+                raise _errors.ConfigError(
+                    f"{op} frame has unknown keys {sorted(unknown)}; "
+                    f"valid keys: {sorted(handler.frame_keys)}"
+                )
             await handler(conn, rid, frame)
         except asyncio.CancelledError:
             raise
@@ -533,6 +560,7 @@ class NetServer:
 
     # -- ops -----------------------------------------------------------------
 
+    @_accepts()
     async def _op_ping(self, conn, rid, frame) -> None:
         conn.send(
             {"rid": rid, "ok": True, "op": "ping",
@@ -540,6 +568,7 @@ class NetServer:
              "draining": self.query_server.draining}
         )
 
+    @_accepts("sid", "query", "wait", "stream", "pause_after")
     async def _op_submit(self, conn, rid, frame) -> None:
         query = frame.get("query")
         if not isinstance(query, dict):
@@ -547,6 +576,7 @@ class NetServer:
         item = item_from_json(query)
         await self._admit(conn, rid, frame, item=item)
 
+    @_accepts("sid", "checkpoint", "tenant", "wait", "stream", "pause_after")
     async def _op_restore(self, conn, rid, frame) -> None:
         blob_b64 = frame.get("checkpoint")
         if not isinstance(blob_b64, str):
@@ -558,6 +588,7 @@ class NetServer:
         session = QuerySession.restore(blob)
         await self._admit(conn, rid, frame, session=session)
 
+    @_accepts("sid", "gid", "stream")
     async def _op_attach(self, conn, rid, frame) -> None:
         """Re-subscribe to a live (or finished) session after a reconnect.
 
@@ -587,11 +618,13 @@ class NetServer:
         self._op_tasks.add(task)
         task.add_done_callback(self._op_tasks.discard)
 
+    @_accepts("sid")
     async def _op_pause(self, conn, rid, frame) -> None:
         handle = self._handle_for(conn, frame)
         handle.pause()
         conn.send({"rid": rid, "ok": True, "op": "pause", "sid": frame["sid"]})
 
+    @_accepts("sid")
     async def _op_checkpoint(self, conn, rid, frame) -> None:
         handle = self._handle_for(conn, frame)
         if not handle.done:
@@ -620,6 +653,7 @@ class NetServer:
             }
         )
 
+    @_accepts("sid")
     async def _op_evict(self, conn, rid, frame) -> None:
         handle = self._handle_for(conn, frame)
         if not self.query_server.evict(handle):
@@ -630,6 +664,7 @@ class NetServer:
         conn.sessions.pop(frame["sid"], None)
         conn.send({"rid": rid, "ok": True, "op": "evict", "sid": frame["sid"]})
 
+    @_accepts()
     async def _op_stats(self, conn, rid, frame) -> None:
         cache = getattr(self.engine, "detection_cache", None)
         publish = getattr(cache, "publish_counters", None)
@@ -649,12 +684,14 @@ class NetServer:
             }
         )
 
+    @_accepts("checkpoint")
     async def _op_drain(self, conn, rid, frame) -> None:
         await self.query_server.drain_gracefully(
             checkpoint=bool(frame.get("checkpoint", False))
         )
         conn.send({"rid": rid, "ok": True, "op": "drain"})
 
+    @_accepts("drain", "checkpoint")
     async def _op_shutdown(self, conn, rid, frame) -> None:
         conn.send({"rid": rid, "ok": True, "op": "shutdown"})
         # Ack first (the stop below closes this very connection), then

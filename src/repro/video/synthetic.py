@@ -30,6 +30,8 @@ of instance durations (the ``p_i``) and instance placement across chunks
 from __future__ import annotations
 
 import operator
+import threading
+from collections import OrderedDict
 from collections.abc import Sequence as SequenceABC
 from dataclasses import dataclass, fields
 from typing import Dict, List, Sequence, Tuple
@@ -224,23 +226,25 @@ class SyntheticWorld:
     :attr:`instances`, :meth:`instances_of` and :meth:`visible` return
     cached per-uid :class:`ObjectInstance` views of those columns.
 
-    A world pickles two ways. By value, it carries the columns (and
-    sheds the caches derived from them). While published to a
-    :class:`~repro.parallel.shm.SharedWorldStore`, pickling emits only a
-    ~100-byte segment handle, and the receiving process builds the
-    world around zero-copy numpy views of the same columns in the
-    shared pages; results are identical either way.
+    A world pickles two ways. One that :class:`SyntheticWorldBuilder`
+    built carries its ``recipe``, the builder's seed and class specs,
+    and pickles as that recipe plus its :meth:`content_digest`: a few
+    hundred bytes, however large the world. Unpickling returns the
+    world from a small per-process memo, or rebuilds it from the recipe
+    and checks the digest (see :func:`_rebuild_world`). A world built
+    straight from its columns pickles by value: it carries the columns
+    and sheds the caches derived from them.
     """
 
     def __init__(
         self,
         repository: VideoRepository,
         arrays: InstanceArrays,
-        shared_handle=None,
+        recipe: "Tuple[int, Tuple[ClassSpec, ...]] | None" = None,
     ):
         self.repository = repository
         self._arrays = arrays
-        self._shared_handle = shared_handle
+        self._recipe = recipe
         self._lazy: "_LazyInstances | None" = None
         self._content_digest: "bytes | None" = None
         self._visibility: "Tuple[np.ndarray, np.ndarray, np.ndarray] | None" = None
@@ -424,25 +428,21 @@ class SyntheticWorld:
         widths = (bounds[1:] - bounds[:-1]).astype(float)
         return overlap / widths[None, :]
 
-    # -- shared-memory transport ------------------------------------------
+    # -- pickling ------------------------------------------------------------
 
     def __reduce_ex__(self, protocol):
-        """Pickle as a segment handle while published, by value otherwise.
+        """Pickle as the recipe when there is one, by value otherwise.
 
-        :class:`~repro.parallel.shm.SharedWorldStore` sets
-        ``_shared_handle`` for the duration of a pool; every pickle in
-        that window (task submission to workers) costs ~100 bytes
-        instead of the columns, and unpickling attaches the shared
-        segment (memoized per process). Do not take durable checkpoints
-        of a *published* world — the handle dies with the store; the
-        normal by-value path resumes as soon as the store closes.
+        The recipe form names the content digest, so a process that
+        already holds this world (this one, or a pool worker after its
+        first task) gets the same object back instead of a rebuild.
         """
-        handle = self._shared_handle
-        if handle is not None:
-            from repro.parallel.shm import attach_shared_world
-
-            return (attach_shared_world, (handle,))
-        return super().__reduce_ex__(protocol)
+        if self._recipe is None:
+            return super().__reduce_ex__(protocol)
+        digest = self.content_digest()
+        _remember_world(digest, self)
+        seed, specs = self._recipe
+        return (_rebuild_world, (self.repository, seed, specs, digest))
 
     def __getstate__(self) -> dict:
         """By-value pickling carries the columns and sheds derivable caches.
@@ -456,25 +456,13 @@ class SyntheticWorld:
         state["_visibility"] = None
         return state
 
-    def shared_columns(self) -> Tuple[Dict[str, np.ndarray], dict]:
-        """Everything a worker needs to rebuild this world, as flat arrays.
-
-        Returns ``(columns, meta)``: the :class:`InstanceArrays` columns
-        by name plus a small picklable dict (the repository and the class
-        names). :class:`~repro.parallel.shm.SharedWorldStore` copies the
-        arrays into a shared segment; attaching builds the world around
-        zero-copy views of them.
-        """
-        meta = {"repository": self.repository, "class_names": self._arrays.class_names}
-        return self._arrays.columns(), meta
-
     def content_digest(self) -> bytes:
         """16-byte digest of everything detection output depends on.
 
-        Computed from the columns, so a world and its shared-memory
-        attachment digest identically, and two worlds digest identically
-        exactly when a detector over them produces identical outputs.
-        Cross-world caches (the pool-wide
+        Computed from the columns on first use, so a world rebuilt from
+        its recipe digests identically to the original exactly when a
+        detector over them produces identical outputs. Recipe pickles
+        carry it as the rebuild check; cross-world caches (the pool-wide
         :class:`~repro.parallel.shm.SharedDetectionCache`) use it to
         namespace their keys.
         """
@@ -572,7 +560,12 @@ def _video_order(videos: np.ndarray, starts: np.ndarray) -> np.ndarray:
 
 
 class SyntheticWorldBuilder:
-    """Places instances of each class spec into a repository."""
+    """Places instances of each class spec into a repository.
+
+    The repository, the seed of ``rngs`` and the specs in
+    :meth:`add_class` order determine the world: they are the recipe a
+    built world pickles as.
+    """
 
     def __init__(self, repository: VideoRepository, rngs: RngFactory):
         self.repository = repository
@@ -619,7 +612,9 @@ class SyntheticWorldBuilder:
             video_order=_video_order(videos, starts),
             class_names=class_names,
         )
-        return SyntheticWorld(repo, arrays)
+        return SyntheticWorld(
+            repo, arrays, recipe=(self.rngs.seed, tuple(self._specs))
+        )
 
     # -- internals ---------------------------------------------------------
 
@@ -689,6 +684,53 @@ class SyntheticWorldBuilder:
             choice = rng.integers(0, k, size=spec.count)
             mids = rng.normal(centers[choice], sigma)
         return np.clip(mids, 0, total - 1).astype(np.int64)
+
+
+#: Recipe-pickled worlds kept per process, by content digest. The
+#: references are strong: a weak memo would let a pool worker's world
+#: die between tasks and be rebuilt for the next one.
+_WORLD_MEMO_SLOTS = 8
+_WORLDS: "OrderedDict[bytes, SyntheticWorld]" = OrderedDict()
+_WORLDS_LOCK = threading.Lock()
+
+
+def _remember_world(digest: bytes, world: SyntheticWorld) -> None:
+    with _WORLDS_LOCK:
+        _WORLDS[digest] = world
+        _WORLDS.move_to_end(digest)
+        if len(_WORLDS) > _WORLD_MEMO_SLOTS:
+            _WORLDS.popitem(last=False)
+
+
+def _rebuild_world(
+    repository: VideoRepository,
+    seed: int,
+    specs: Tuple[ClassSpec, ...],
+    digest: bytes,
+) -> SyntheticWorld:
+    """The unpickle target of a recipe-pickled world.
+
+    Returns the memoized world with this content digest, or rebuilds it
+    through :class:`SyntheticWorldBuilder` and raises
+    :class:`~repro.errors.DatasetError` when the rebuilt world digests
+    differently (a builder whose draws changed since the pickle was
+    written).
+    """
+    with _WORLDS_LOCK:
+        world = _WORLDS.get(digest)
+    if world is None:
+        builder = SyntheticWorldBuilder(repository, RngFactory(seed))
+        for spec in specs:
+            builder.add_class(spec)
+        world = builder.build()
+        rebuilt = world.content_digest()
+        if rebuilt != digest:
+            raise DatasetError(
+                f"world rebuilt from its recipe has content digest "
+                f"{rebuilt.hex()}, but the pickle expects {digest.hex()}"
+            )
+    _remember_world(digest, world)
+    return world
 
 
 def build_world(

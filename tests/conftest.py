@@ -46,6 +46,18 @@ def temporal_env(small_population: InstancePopulation) -> TemporalEnvironment:
     return TemporalEnvironment.with_even_chunks(small_population, 16)
 
 
+def traces_equal(a, b) -> bool:
+    """Whether two search traces sampled the same frames with the same
+    outcomes and costs, element for element."""
+    return (
+        np.array_equal(a.chunks, b.chunks)
+        and np.array_equal(a.frames, b.frames)
+        and np.array_equal(a.d0s, b.d0s)
+        and np.array_equal(a.d1s, b.d1s)
+        and np.array_equal(a.costs, b.costs)
+    )
+
+
 def make_tiny_dataset(seed: int = 0, minutes: float = 4.0) -> Dataset:
     """A hand-rolled dataset small enough for exhaustive test scans.
 

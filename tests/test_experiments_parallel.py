@@ -28,6 +28,8 @@ from repro.theory.instances import InstancePopulation, even_chunk_bounds
 from repro.theory.temporal_sim import TemporalEnvironment
 from repro.utils.rng import RngFactory
 
+from tests.conftest import traces_equal
+
 
 def _square(x):
     return x * x
@@ -35,16 +37,6 @@ def _square(x):
 
 def _boom(x):
     raise ValueError(f"task {x} failed")
-
-
-def _traces_equal(a, b):
-    return (
-        np.array_equal(a.chunks, b.chunks)
-        and np.array_equal(a.frames, b.frames)
-        and np.array_equal(a.d0s, b.d0s)
-        and np.array_equal(a.d1s, b.d1s)
-        and np.array_equal(a.costs, b.costs)
-    )
 
 
 def _make_searcher(population, bounds, rngs, run_idx):
@@ -106,25 +98,27 @@ class TestParallelMap:
             assert parallel_map(unpicklable, [1, 2, 3], jobs=4) == [-1, -2, -3]
         assert captured == [1, 2, 3]  # ran in this process
 
-    def test_probe_serializes_one_item_not_the_whole_list(self):
+    def test_probe_serializes_one_item_not_the_whole_list(self, monkeypatch):
         """The pre-flight pickle probe covers fn plus one representative
         item; the full task list is serialized once, at submit time."""
+        import pickle
+
         from repro.experiments import parallel as parallel_mod
 
         seen = []
-        original = parallel_mod._probe_task
 
-        def recording_probe(fn, item):
-            seen.append(item)
-            return original(fn, item)
+        class RecordingPickle:
+            HIGHEST_PROTOCOL = pickle.HIGHEST_PROTOCOL
 
-        parallel_mod._probe_task = recording_probe
-        try:
-            items = list(range(6))
-            assert parallel_map(_square, items, jobs=2) == [x * x for x in items]
-        finally:
-            parallel_mod._probe_task = original
-        assert seen == [0]
+            @staticmethod
+            def dumps(obj, *args, **kwargs):
+                seen.append(obj)
+                return pickle.dumps(obj, *args, **kwargs)
+
+        monkeypatch.setattr(parallel_mod, "pickle", RecordingPickle)
+        items = list(range(6))
+        assert parallel_map(_square, items, jobs=2) == [x * x for x in items]
+        assert seen == [(_square, 0)]
 
     def test_worker_exception_propagates(self):
         with pytest.raises(ValueError, match="task 0 failed"):
@@ -139,14 +133,14 @@ class TestParallelTraces:
         parallel = parallel_traces(workload, 4, jobs=2, frame_budget=600)
         assert len(serial) == len(parallel) == 4
         for a, b in zip(serial, parallel):
-            assert _traces_equal(a, b)
+            assert traces_equal(a, b)
 
     def test_repeated_traces_jobs_passthrough(self, workload, monkeypatch):
         serial = repeated_traces(workload, 3, frame_budget=400)
         monkeypatch.setenv("REPRO_JOBS", "2")
         env_driven = repeated_traces(workload, 3, frame_budget=400)
         for a, b in zip(serial, env_driven):
-            assert _traces_equal(a, b)
+            assert traces_equal(a, b)
 
 
 class TestParallelSweep:
@@ -157,7 +151,7 @@ class TestParallelSweep:
         parallel = parallel_sweep_methods(engine, query, jobs=2)
         assert list(serial) == list(parallel)  # method order preserved
         for method in serial:
-            assert _traces_equal(serial[method].trace, parallel[method].trace)
+            assert traces_equal(serial[method].trace, parallel[method].trace)
 
 
 class TestDatasetEngineMemo:

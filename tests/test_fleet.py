@@ -6,14 +6,15 @@ admission-controlled by the router, some sessions live-migrated between
 shards mid-flight — must produce outcomes element-wise identical to solo
 ``engine.run`` calls, for every registered search method. Shards are real
 child processes (fork by default here; a dedicated test exercises spawn,
-and CI runs the module under both), sharing the published world segment
-and one cross-process detection cache.
+and CI runs the module under both), built over the same dataset and
+sharing one cross-process detection cache.
 """
 
 import asyncio
 import math
 import multiprocessing
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.registry import SEARCH_METHODS
 from repro.errors import ConfigError, QueryError, ServerOverloadedError
 from repro.query.engine import QueryEngine
 from repro.query.query import DistinctObjectQuery
+from repro.query.session import QuerySession
 from repro.serving import ServerConfig
 from repro.serving.fleet import (
     FleetConfig,
@@ -344,6 +346,48 @@ class TestSpawnContextMigration:
         for item, outcome in zip(ALL_METHOD_ITEMS, outcomes):
             solo = solo_outcomes[(item.method, item.run_seed)]
             assert_traces_identical(outcome.trace, solo.trace)
+
+
+def _finish_checkpoint(blob):
+    """Restore a checkpoint and run it to the end (a fresh process's body)."""
+    session = QuerySession.restore(blob)
+    for _ in session.stream():
+        pass
+    return session.outcome()
+
+
+class TestDurableCheckpoints:
+    def test_recovery_checkpoint_restores_in_a_fresh_process_after_shutdown(
+        self, solo_engine
+    ):
+        """The router's recovery-table checkpoint names nothing that dies
+        with the fleet: a fresh spawn process restores it after shutdown
+        and finishes with the solo trace."""
+        dataset = make_tiny_dataset(seed=11)
+        item = WorkloadItem(
+            object="car", frame_budget=80, batch_size=4, run_seed=5
+        )
+
+        async def go():
+            router = await _launch(dataset, n_shards=1, checkpoint_every=2)
+            try:
+                handle = await router.submit(item)
+                outcome = await handle.result()
+            finally:
+                await router.shutdown()
+            return handle.checkpoint_blob, outcome
+
+        blob, outcome = asyncio.run(go())
+        assert blob is not None
+        with ProcessPoolExecutor(
+            max_workers=1, mp_context=multiprocessing.get_context("spawn")
+        ) as pool:
+            restored = pool.submit(_finish_checkpoint, blob).result(timeout=120)
+        solo = solo_engine.run(
+            item.query(), run_seed=item.run_seed, batch_size=item.batch_size
+        )
+        assert_traces_identical(outcome.trace, solo.trace)
+        assert_traces_identical(restored.trace, solo.trace)
 
 
 # ---------------------------------------------------------------------------

@@ -1,150 +1,36 @@
-"""Tests for the shared-memory transport behind the parallel backbone.
+"""Tests for what crosses into worker processes, and the shared cache.
 
 The contracts under test:
 
-* a published world pickles as a ~100-byte handle and the attached
-  world answers every query identically to the original;
-* ``parallel_traces``/``parallel_sweep_methods``, which always ship
-  worlds over shared memory, stay element-wise identical to serial
-  under the fork, spawn and forkserver start methods (the CI default
-  fork would otherwise mask spawn-only serialization bugs);
-* segment hygiene — the pool unlinks every ``repro_shm_*`` segment on
-  normal exit and after an injected worker crash, and nothing stale is
-  left in ``/dev/shm``;
+* ``parallel_traces``/``parallel_sweep_methods`` stay element-wise
+  identical to serial under the fork, spawn and forkserver start
+  methods (the CI default fork would otherwise mask spawn-only
+  serialization bugs);
+* a built world travels to a spawn pool as its recipe, and each worker
+  rebuilds it at most once however many tasks it runs;
+* a worker crash surfaces as ``BrokenProcessPool``;
 * one :class:`SharedDetectionCache` serves every process of a pool.
 """
 
 import os
 import pickle
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import contextmanager
 from functools import partial
 
 import numpy as np
 import pytest
 
 from repro.detection.cache import make_detection_cache
-from repro.detection.simulated import SimulatedDetector
-from repro.errors import ConfigError
 from repro.experiments.parallel import (
     dataset_engine,
     parallel_map,
     parallel_sweep_methods,
     parallel_traces,
 )
-from repro.parallel.shm import (
-    _ATTACHED_SEGMENTS,
-    _ATTACHED_WORLDS,
-    _LIVE_STORES,
-    SEGMENT_PREFIX,
-    SharedDetectionCache,
-    SharedWorldStore,
-    attach_shared_world,
-)
+from repro.parallel.shm import SharedDetectionCache
 from repro.query.query import DistinctObjectQuery
 
-from tests.conftest import make_tiny_dataset
-
-
-def _segments() -> set:
-    try:
-        names = os.listdir("/dev/shm")
-    except FileNotFoundError:  # pragma: no cover - non-POSIX dev boxes
-        return set()
-    return {name for name in names if name.startswith(SEGMENT_PREFIX)}
-
-
-@pytest.fixture(autouse=True)
-def _no_segment_leaks():
-    """Every test in this module must leave /dev/shm as it found it."""
-    before = _segments()
-    yield
-    assert _segments() == before
-
-
-def _traces_equal(a, b):
-    return (
-        np.array_equal(a.chunks, b.chunks)
-        and np.array_equal(a.frames, b.frames)
-        and np.array_equal(a.d0s, b.d0s)
-        and np.array_equal(a.d1s, b.d1s)
-        and np.array_equal(a.costs, b.costs)
-    )
-
-
-@contextmanager
-def _attach_as_worker_would(handle):
-    """Attach a handle bypassing the same-process short-circuits.
-
-    The segment mapping must outlive every zero-copy view, so cleanup
-    (registry restore + unmap) runs only after the ``with`` body.
-    """
-    store = _LIVE_STORES.pop(handle.segment)
-    try:
-        yield attach_shared_world(handle)
-    finally:
-        _LIVE_STORES[handle.segment] = store
-        _ATTACHED_WORLDS.pop(handle.segment, None)
-        segment = _ATTACHED_SEGMENTS.pop(handle.segment, None)
-        if segment is not None:
-            segment.close()
-
-
-class TestSharedWorldStore:
-    def test_handle_pickling_and_lifecycle(self):
-        world = make_tiny_dataset(seed=3).world
-        by_value = pickle.dumps(world)
-        # Detection builds the world's lazy visibility table; by-value
-        # pickles shed it. (A cached detector would also compute the
-        # content digest, which pickles keep, so this one has no cache.)
-        SimulatedDetector(world, seed=0).detect_batch([0, 1, 0], [10, 400, 900])
-        assert pickle.dumps(world) == by_value
-        with SharedWorldStore(world) as store:
-            as_handle = pickle.dumps(world)
-            assert len(as_handle) < 512 < len(by_value)
-            assert store.handle.segment in _segments()
-            # Same-process unpickling short-circuits to the original.
-            assert pickle.loads(as_handle) is world
-            # A world cannot be published twice.
-            with pytest.raises(ConfigError):
-                SharedWorldStore(world)
-        assert store.handle.segment not in _segments()
-        assert world._shared_handle is None
-        # Unpublished again: by-value pickling is restored, bit for bit.
-        assert pickle.dumps(world) == by_value
-        store.close()  # idempotent
-
-    def test_attached_world_is_equivalent(self):
-        world = make_tiny_dataset(seed=4).world
-        with SharedWorldStore(world) as store:
-            with _attach_as_worker_would(store.handle) as attached:
-                assert attached is not world
-                assert attached.num_instances == world.num_instances
-                assert attached.class_names() == world.class_names()
-                for name in world.class_names():
-                    assert attached.count_of(name) == world.count_of(name)
-                    assert attached.instances_of(name) == world.instances_of(name)
-                frames = np.arange(0, 1200, 7)
-                for video in range(world.repository.num_videos):
-                    videos = np.full(frames.size, video)
-                    got = attached.visible_at(videos, frames)
-                    want = world.visible_at(videos, frames)
-                    assert np.array_equal(got[0], want[0])
-                    assert np.array_equal(got[1], want[1])
-                uids = np.arange(world.num_instances)
-                at = world.instance_arrays().starts
-                assert np.array_equal(
-                    attached.boxes_at(uids, at), world.boxes_at(uids, at)
-                )
-                assert np.array_equal(
-                    attached.presence_mask("car"), world.presence_mask("car")
-                )
-                assert [v.fps for v in attached.repository.videos] == [
-                    v.fps for v in world.repository.videos
-                ]
-                # Lazy instance materialization round-trips exact values.
-                assert list(attached.instances) == list(world.instances)
-
+from tests.conftest import make_tiny_dataset, traces_equal
 
 # -- identity under fork and spawn -------------------------------------------
 
@@ -160,7 +46,7 @@ def _sweep_engine():
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
-def test_parallel_traces_identical_with_shared_world(start_method, monkeypatch):
+def test_parallel_traces_identical_under_start_method(start_method, monkeypatch):
     engine = _sweep_engine()
     make = partial(_make_dataset_searcher, engine, "person")
     serial = parallel_traces(make, 3, jobs=1, frame_budget=300)
@@ -168,12 +54,11 @@ def test_parallel_traces_identical_with_shared_world(start_method, monkeypatch):
     parallel = parallel_traces(make, 3, jobs=2, frame_budget=300)
     assert len(serial) == len(parallel) == 3
     for a, b in zip(serial, parallel):
-        assert _traces_equal(a, b)
-    assert engine.dataset.world._shared_handle is None
+        assert traces_equal(a, b)
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn", "forkserver"])
-def test_parallel_sweep_identical_with_shared_world(start_method, monkeypatch):
+def test_parallel_sweep_identical_under_start_method(start_method, monkeypatch):
     engine = _sweep_engine()
     query = DistinctObjectQuery("person", limit=6)
     serial = parallel_sweep_methods(engine, query, jobs=1)
@@ -181,33 +66,48 @@ def test_parallel_sweep_identical_with_shared_world(start_method, monkeypatch):
     parallel = parallel_sweep_methods(engine, query, jobs=2)
     assert list(serial) == list(parallel)
     for method in serial:
-        assert _traces_equal(serial[method].trace, parallel[method].trace)
+        assert traces_equal(serial[method].trace, parallel[method].trace)
 
 
-# -- hygiene: crash and exit cleanup -----------------------------------------
+# -- the world as a recipe ---------------------------------------------------
+
+#: Every world a task saw in this process, held strongly so that no two
+#: distinct worlds can share an ``id``.
+_SEEN_WORLDS = []
 
 
-def _world_probe(world, item):
-    return (item, world.num_instances)
+def _count_worlds(world, item):
+    if not any(seen is world for seen in _SEEN_WORLDS):
+        _SEEN_WORLDS.append(world)
+    return os.getpid(), len(_SEEN_WORLDS), world.num_instances
+
+
+def test_spawn_pool_rebuilds_the_world_once_per_worker(monkeypatch):
+    world = make_tiny_dataset(seed=8).world
+    assert len(pickle.dumps(world)) < 2048
+    monkeypatch.setenv("REPRO_MP_CONTEXT", "spawn")
+    results = parallel_map(partial(_count_worlds, world), range(12), jobs=2)
+    assert len(results) == 12
+    assert {n for _, _, n in results} == {world.num_instances}
+    worlds_per_worker = {}
+    for pid, seen, _ in results:
+        assert pid != os.getpid()
+        worlds_per_worker[pid] = max(worlds_per_worker.get(pid, 0), seen)
+    assert 1 <= len(worlds_per_worker) <= 2
+    assert set(worlds_per_worker.values()) == {1}
+
+
+# -- a worker crash ----------------------------------------------------------
 
 
 def _crash_with_world(world, item):
     os._exit(17)
 
 
-def test_segments_unlinked_after_normal_pool_exit():
-    world = make_tiny_dataset(seed=5).world
-    results = parallel_map(partial(_world_probe, world), range(4), jobs=2)
-    assert results == [(i, world.num_instances) for i in range(4)]
-    assert world._shared_handle is None
-
-
-def test_segments_unlinked_after_worker_crash():
+def test_worker_crash_raises_broken_process_pool():
     world = make_tiny_dataset(seed=6).world
     with pytest.raises(BrokenProcessPool):
         parallel_map(partial(_crash_with_world, world), range(4), jobs=2)
-    assert world._shared_handle is None
-    # The autouse fixture asserts /dev/shm itself is clean.
 
 
 # -- the cross-process detection memo ----------------------------------------

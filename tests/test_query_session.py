@@ -261,6 +261,25 @@ class TestCheckpointEnvelope:
         with pytest.raises(QueryError, match="digest mismatch"):
             peek_checkpoint(bytes(blob))
 
+    def test_large_world_checkpoint_carries_the_recipe(self):
+        """A bdd1k 1.0 checkpoint holds the world as its builder recipe,
+        not its ~2 MB of columns, and still finishes like a plain run."""
+        from repro.video.datasets import make_dataset
+
+        big = QueryEngine(make_dataset("bdd1k", scale=1.0, seed=0), seed=0)
+        query = DistinctObjectQuery("motor", limit=20)
+        session = big.session(query, method="exsample")
+        for _ in session.stream():
+            session.pause()
+        blob = session.checkpoint()
+        assert len(blob) <= 200_000
+        restored = QuerySession.restore(blob)
+        for _ in restored.stream():
+            pass
+        assert_traces_identical(
+            restored.trace(), big.run(query, method="exsample").trace
+        )
+
     def test_older_checkpoint_versions_are_refused(self, engine):
         """Older layouts get a typed QueryError, never an AttributeError.
 
@@ -268,7 +287,8 @@ class TestCheckpointEnvelope:
         layout before the uniform baselines built chunk orders lazily; v3
         envelopes hold a world pickled as a list of instance objects; v4
         envelopes hold a generator per chunk order and per track; v5
-        envelopes hold large-repository searchers without chunk groups.
+        envelopes hold large-repository searchers without chunk groups;
+        v6 envelopes hold a built world as its columns, not its recipe.
         """
         import pickle
 
@@ -289,7 +309,7 @@ class TestCheckpointEnvelope:
         )
         envelope = pickle.loads(session.checkpoint())
         older = []
-        for version in (2, 3, 4, 5):
+        for version in (2, 3, 4, 5, 6):
             envelope["version"] = version
             older.append(pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL))
         for blob in (v1_blob, *older):

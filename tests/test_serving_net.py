@@ -14,6 +14,7 @@ inside a private ``asyncio.run`` loop (clean under
 """
 
 import asyncio
+import base64
 import json
 
 import pytest
@@ -132,6 +133,56 @@ class TestProtocolBasics:
             assert stats["draining"] is False
             assert stats["cache"]["hits"] >= 0
             assert isinstance(stats["per_tenant"], dict)
+
+        asyncio.run(_with_server(go))
+
+
+class TestFrameKeys:
+    """Every op declares its frame keys; a frame with any other key gets a
+    typed ConfigError and admits no session."""
+
+    @staticmethod
+    def _paused_checkpoint():
+        session = fresh_engine().session(QUERY, method="exsample", run_seed=2)
+        for _ in session.stream():
+            session.pause()
+        return session.checkpoint()
+
+    @pytest.mark.parametrize(
+        "stray", [{"pause_afer": 1}, {"deadline": 5.0}], ids=["typo", "retired"]
+    )
+    def test_restore_with_an_unknown_key_admits_nothing(self, stray):
+        blob = self._paused_checkpoint()
+
+        async def go(server, client):
+            frame = {
+                "op": "restore",
+                "sid": "q1",
+                "checkpoint": base64.b64encode(blob).decode("ascii"),
+                "tenant": "a",
+                **stray,
+            }
+            with pytest.raises(ConfigError, match="unknown keys"):
+                await client._request(frame)
+            assert (await client.stats())["submitted"] == 0
+            # The well-formed frame is admitted and honours pause_after.
+            session = await client.restore(blob, pause_after=1)
+            assert await session.wait() == "paused"
+
+        asyncio.run(_with_server(go))
+
+    def test_submit_with_a_stray_top_level_key_admits_nothing(self):
+        async def go(server, client):
+            with pytest.raises(ConfigError, match="unknown keys"):
+                await client._request(
+                    {
+                        "op": "submit",
+                        "sid": "q1",
+                        "query": {"object": "car", "limit": 1},
+                        "tennant": "a",
+                    }
+                )
+            assert (await client.stats())["submitted"] == 0
 
         asyncio.run(_with_server(go))
 

@@ -1,16 +1,19 @@
 """Tests for synthetic world building."""
 
 import pickle
+from collections import OrderedDict
 
 import numpy as np
 import pytest
 
 from repro.errors import DatasetError
 from repro.theory.instances import lognormal_durations
+from repro.video import synthetic
 from repro.video.datasets import DATASET_BUILDERS, make_dataset
 from repro.video.synthetic import (
     ClassSpec,
     ObjectInstance,
+    SyntheticWorld,
     SyntheticWorldBuilder,
     build_world,
 )
@@ -395,9 +398,10 @@ class TestColumnarBuilderMatchesReference:
 
 
 def test_by_value_pickle_round_trip():
-    """A world pickled by value carries its columns, not instance objects,
-    and answers every query as before."""
-    world = make_dataset("dashcam", scale=0.02, seed=0).world
+    """A world built from its columns pickles by value: it carries the
+    columns, not instance objects, and answers every query as before."""
+    source = make_dataset("dashcam", scale=0.02, seed=0).world
+    world = SyntheticWorld(source.repository, source.instance_arrays())
     rng = np.random.default_rng(3)
     videos = rng.integers(0, world.repository.num_videos, size=300)
     frames = rng.integers(0, world.repository.videos[0].num_frames, size=300)
@@ -417,3 +421,69 @@ def test_by_value_pickle_round_trip():
     after = clone.visible_at(videos, frames)
     assert after[0].tolist() == before[0].tolist()
     assert after[1].tolist() == before[1].tolist()
+
+
+def _assert_same_columns(got, want):
+    got, want = got.instance_arrays(), want.instance_arrays()
+    assert got.class_names == want.class_names
+    for name, column in want.columns().items():
+        assert getattr(got, name).dtype == column.dtype, name
+        assert getattr(got, name).tobytes() == column.tobytes(), name
+
+
+class _Tampered:
+    """Pickles as a recipe call whose digest is not the recipe's."""
+
+    def __init__(self, args):
+        self.args = args
+
+    def __reduce__(self):
+        return synthetic._rebuild_world, self.args
+
+
+class TestRecipePickle:
+    """A built world pickles as its builder recipe plus content digest."""
+
+    def test_same_process_round_trip_returns_the_same_world(self):
+        dataset = make_dataset("dashcam", scale=0.02, seed=0)
+        blob = pickle.dumps(dataset.world, protocol=pickle.HIGHEST_PROTOCOL)
+        assert len(blob) < 2048
+        assert pickle.loads(blob) is dataset.world
+        assert pickle.loads(pickle.dumps(dataset)).world is dataset.world
+
+    def test_a_memo_miss_rebuilds_an_identical_world(self, monkeypatch):
+        world = make_dataset("dashcam", scale=0.02, seed=0).world
+        blob = pickle.dumps(world, protocol=pickle.HIGHEST_PROTOCOL)
+        monkeypatch.setattr(synthetic, "_WORLDS", OrderedDict())
+        rebuilt = pickle.loads(blob)
+        assert rebuilt is not world
+        assert rebuilt.content_digest() == world.content_digest()
+        _assert_same_columns(rebuilt, world)
+        # The rebuild filled the memo: the next unpickle is free.
+        assert pickle.loads(blob) is rebuilt
+
+    def test_a_wrong_digest_raises_dataset_error(self, monkeypatch):
+        world = make_tiny_dataset(seed=3).world
+        rebuild, (repository, seed, specs, digest) = world.__reduce_ex__(
+            pickle.HIGHEST_PROTOCOL
+        )
+        assert rebuild is synthetic._rebuild_world
+        wrong = bytes(len(digest))
+        blob = pickle.dumps(_Tampered((repository, seed, specs, wrong)))
+        monkeypatch.setattr(synthetic, "_WORLDS", OrderedDict())
+        with pytest.raises(DatasetError) as caught:
+            pickle.loads(blob)
+        assert digest.hex() in str(caught.value)
+        assert wrong.hex() in str(caught.value)
+        assert not synthetic._WORLDS
+
+    def test_memo_is_bounded(self, repo, monkeypatch):
+        monkeypatch.setattr(synthetic, "_WORLDS", OrderedDict())
+        worlds = [
+            build_world(repo, [ClassSpec("car", count=5, mean_duration_s=2.0)],
+                        seed=seed)
+            for seed in range(synthetic._WORLD_MEMO_SLOTS + 3)
+        ]
+        for world in worlds:
+            pickle.dumps(world)
+        assert list(synthetic._WORLDS.values()) == worlds[-synthetic._WORLD_MEMO_SLOTS:]
