@@ -60,11 +60,12 @@ def save_metric(name: str, **values) -> None:
 
     ``values`` should be JSON-scalar timings/ratios (seconds, speedups,
     counts). Each call overwrites only its own ``name`` section, so the
-    file accumulates every micro-benchmark that ran, in any order. A
-    timing-gated bench saves its row before it asserts, with ``gated``
-    (whether its gate applies on this machine) and ``passed`` (whether
-    it held; None when not gated), so a failed gate still leaves its
-    numbers. ``_meta.git_sha`` names the commit that was checked out.
+    file accumulates every micro-benchmark that ran, in any order. Every
+    bench saves its row before it asserts, with ``gated`` (whether its
+    gate applies on this machine; always for the deterministic count
+    gates) and ``passed`` (whether it held; None when not gated), so a
+    failed gate still leaves its numbers. ``_meta.git_sha`` names the
+    commit that was checked out.
     """
     global _bench_json_started
     RESULTS_DIR.mkdir(exist_ok=True)

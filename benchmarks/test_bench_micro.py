@@ -640,12 +640,13 @@ def test_shared_cache_cross_process_hit_rate():
     start = time.perf_counter()
     second = parallel_map(fn, [0, 1, 2, 3], jobs=2)
     t_second = time.perf_counter() - start
-    assert [obs for obs, _, _ in first] == [obs for obs, _, _ in second]
+    same_observations = [obs for obs, _, _ in first] == [obs for obs, _, _ in second]
     hits = sum(h for _, h, _ in second)
     misses = sum(m for _, _, m in second)
     hit_rate = hits / max(hits + misses, 1)
     store_size = len(engine.detection_cache)
     engine.detection_cache.clear()
+    passed = same_observations and hits > 0
     save_artifact(
         "micro_shared_cache",
         (
@@ -665,7 +666,10 @@ def test_shared_cache_cross_process_hit_rate():
         second_pool_misses=misses,
         second_pool_hit_rate=hit_rate,
         shared_rows=store_size,
+        gated=True,
+        passed=passed,
     )
+    assert same_observations
     assert hits > 0, (
         "fresh workers of the second pool reported zero hits — the "
         "detection memo is not shared across processes"
@@ -673,7 +677,7 @@ def test_shared_cache_cross_process_hit_rate():
 
 
 def test_parallel_traces_scaling():
-    """Process-parallel repeated_traces on the fig3 quick workload.
+    """Process-parallel runs on the fig3 quick workload.
 
     Times ``parallel_traces`` at jobs=1 vs jobs=4 on one fig3 quick-config
     cell (2000 instances, 2M frames, 128 chunks, 4000-frame budget) and
@@ -684,8 +688,8 @@ def test_parallel_traces_scaling():
     """
     from functools import partial
 
-    from repro.experiments.fig3 import _make_exsample
     from repro.experiments.parallel import parallel_traces
+    from repro.experiments.runner import make_searcher
     from repro.utils.rng import RngFactory
 
     rngs = RngFactory(0).child("bench-par")
@@ -693,7 +697,7 @@ def test_parallel_traces_scaling():
         2000, 2_000_000, 700, rngs.stream("pop"), skew_fraction=1 / 32
     )
     bounds = even_chunk_bounds(2_000_000, 128)
-    make = partial(_make_exsample, population, bounds, rngs)
+    make = partial(make_searcher, "exsample", population, bounds, rngs, ("ex",), {})
     runs, budget = 8, 4000
 
     serial = parallel_traces(make, runs, jobs=1, frame_budget=budget)
@@ -1061,6 +1065,12 @@ def test_repository_index_warm_start(tmp_path):
     )
 
     reduction = cold_samples / max(warm_samples, 1)
+    passed = (
+        warm_samples < cold_samples
+        and replayed
+        and replay_calls == 0
+        and blob_identical
+    )
     save_artifact(
         "micro_warm_start",
         (
@@ -1082,6 +1092,8 @@ def test_repository_index_warm_start(tmp_path):
         runs_summed=len(list(seeds)),
         replay_detector_calls=replay_calls,
         replay_byte_identical=blob_identical,
+        gated=True,
+        passed=passed,
     )
     assert warm_samples < cold_samples, (
         f"warm-started runs drew {warm_samples} samples vs {cold_samples} "
@@ -1149,19 +1161,19 @@ def test_crash_recovery():
     solo = QueryEngine(make_dataset(**dataset_kwargs), seed=seed).run(
         item.query(), run_seed=item.run_seed, batch_size=item.batch_size
     )
-    for outcome in (clean_outcome, crash_outcome):
-        assert np.array_equal(solo.trace.chunks, outcome.trace.chunks)
-        assert np.array_equal(solo.trace.frames, outcome.trace.frames)
-        assert np.array_equal(solo.trace.costs, outcome.trace.costs)
-        assert solo.trace.results == outcome.trace.results
-
+    identical = all(
+        np.array_equal(solo.trace.chunks, outcome.trace.chunks)
+        and np.array_equal(solo.trace.frames, outcome.trace.frames)
+        and np.array_equal(solo.trace.costs, outcome.trace.costs)
+        and solo.trace.results == outcome.trace.results
+        for outcome in (clean_outcome, crash_outcome)
+    )
     recoveries = stats.recovered_sessions + stats.rerun_sessions
-    assert stats.restarts >= 1, "the kill fault never tripped supervision"
-    assert recoveries >= 1
-    assert stats.redone_steps <= checkpoint_every * recoveries, (
-        f"{stats.redone_steps} steps redone across {recoveries} recoveries "
-        f"— the checkpoint cycle (every {checkpoint_every}) is not bounding "
-        f"lost work"
+    passed = (
+        identical
+        and stats.restarts >= 1
+        and recoveries >= 1
+        and stats.redone_steps <= checkpoint_every * recoveries
     )
 
     save_artifact(
@@ -1178,7 +1190,8 @@ def test_crash_recovery():
             f"{stats.recovered_sessions}  rerun: {stats.rerun_sessions}  "
             f"steps redone: {stats.redone_steps} "
             f"(bound {checkpoint_every}/recovery)\n"
-            f"outcome: byte-identical to solo engine.run"
+            f"outcome: {'byte-identical to' if identical else 'DIFFERS from'} "
+            f"solo engine.run"
         ),
     )
     save_metric(
@@ -1191,5 +1204,15 @@ def test_crash_recovery():
         rerun_sessions=stats.rerun_sessions,
         redone_steps=stats.redone_steps,
         checkpoint_every=checkpoint_every,
-        identical=True,
+        identical=identical,
+        gated=True,
+        passed=passed,
+    )
+    assert identical, "an outcome differs from the solo engine.run trace"
+    assert stats.restarts >= 1, "the kill fault never tripped supervision"
+    assert recoveries >= 1
+    assert stats.redone_steps <= checkpoint_every * recoveries, (
+        f"{stats.redone_steps} steps redone across {recoveries} recoveries "
+        f"— the checkpoint cycle (every {checkpoint_every}) is not bounding "
+        f"lost work"
     )

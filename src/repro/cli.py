@@ -27,7 +27,8 @@ from repro.core.registry import searcher_specs
 from repro.errors import ReproError
 from repro.experiments import ablations as ablations_mod
 from repro.experiments.report import ARTIFACTS, generate_report, render_report
-from repro.experiments.runner import default_config, sweep_methods
+from repro.experiments.parallel import parallel_sweep_methods
+from repro.experiments.runner import default_config
 from repro.query.cost import CostModel
 from repro.query.engine import SEARCH_METHODS, QueryEngine
 from repro.query.metrics import time_to_recall
@@ -282,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("name", choices=sorted(ARTIFACTS) + ["all"])
     experiment.add_argument(
         "--full", action="store_true",
-        help="paper-scale configuration (slow); default is the quick config",
+        help="paper-scale configuration (slow; sets REPRO_FULL=1); "
+             "default is the quick config unless REPRO_FULL=1",
     )
     experiment.add_argument(
         "--jobs", type=int, default=None,
@@ -477,7 +479,8 @@ def _cmd_compare(args, out) -> int:
         frame_budget=dataset.total_frames,
     )
     rows = []
-    for method, outcome in sweep_methods(engine, query, jobs=args.jobs).items():
+    outcomes = parallel_sweep_methods(engine, query, jobs=args.jobs)
+    for method, outcome in outcomes.items():
         seconds = time_to_recall(outcome.trace, outcome.gt_count, args.recall)
         rows.append(
             (
@@ -504,15 +507,17 @@ def _cmd_compare(args, out) -> int:
 
 
 def _apply_parallel_env(args) -> None:
-    """Propagate the parallel-execution flags to the harnesses via env.
+    """Propagate the execution flags to the harnesses via env.
 
-    The library resolves its worker count, child start method and
+    The library resolves its scale, worker count, child start method and
     cache policy from the environment (so nested code, worker processes
     and benches see one set of knobs); the CLI flags simply set them for
     this process — worker pools inherit them.
     """
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
+    if getattr(args, "full", False):
+        os.environ["REPRO_FULL"] = "1"
     if getattr(args, "context", None) is not None:
         os.environ["REPRO_MP_CONTEXT"] = args.context
     if getattr(args, "shared_cache", False):
@@ -804,11 +809,10 @@ def _cmd_index(args, out) -> int:
 def _cmd_experiment(args, out) -> int:
     _apply_parallel_env(args)
     if args.name == "all":
-        print(render_report(generate_report(full=args.full)), file=out)
+        print(render_report(generate_report()), file=out)
         return 0
     config_cls, run, format_result = ARTIFACTS[args.name]
-    config = config_cls.paper() if args.full else config_cls.quick()
-    result = run(config)
+    result = run(default_config(config_cls))
     print(format_result(result), file=out)
     return 0
 

@@ -3,18 +3,19 @@
 The paper's premise is that "runtime in ExSample is roughly proportional to
 the number of frames processed by the detector" (§III), and the simulated
 detector is an explicitly *pure* function of ``(seed, video, frame)`` —
-detecting the same frame twice yields byte-identical results. Every figure
-experiment exploits neither fact: a fig3-style sweep (several methods ×
-several seeds over one :class:`~repro.query.engine.QueryEngine`) re-detects
-the frames its runs share from scratch, once per run.
+detecting the same frame twice yields byte-identical results. Without a
+memo, a fig3-style sweep (several methods × several seeds over one
+:class:`~repro.query.engine.QueryEngine`) would re-detect the frames its
+runs share from scratch, once per run.
 
 :class:`DetectionCache` closes that gap. It memoizes finished detection
-lists keyed by ``(video, frame, class_filter)`` so any number of runs over
-the same detector pay detection once per distinct frame. Because the
-detector is deterministic, a cache hit returns exactly what a fresh
-detection would — caching can change wall-clock time, never a trace.
+lists keyed by ``(scope, video, frame, class_filter)``, where the scope is
+the detector's identity digest, so any number of runs over the same
+detector pay detection once per distinct frame. Because the detector is
+deterministic, a cache hit returns exactly what a fresh detection would —
+caching can change wall-clock time, never a trace.
 
-Three policies are supported:
+:func:`make_detection_cache` resolves the user-facing policies:
 
 * ``"unbounded"`` — a plain dict; right for experiment sweeps, where the
   working set is the sampled subset of the repository (small by design —
@@ -22,31 +23,28 @@ Three policies are supported:
 * ``"lru"`` — an :class:`collections.OrderedDict` bounded at ``capacity``
   entries with least-recently-used eviction; right for long-lived serving
   processes.
+* ``"shared"`` — one cross-process memo for a worker pool
+  (:mod:`repro.parallel.shm`).
 * ``"off"`` — no cache (``make_detection_cache`` returns ``None``).
 
 Caches deliberately do **not** survive :mod:`pickle`: serialising a
 detector (e.g. inside a :class:`~repro.query.session.QuerySession`
 checkpoint) keeps the cache's *configuration* but drops its contents and
 counters, so checkpoints stay small and restore is always correct even if
-the world or seed changes between save and load.
+the world or seed changes between checkpoint and restore. Detection rows
+outlive a process only through the repository index, which records them
+per completed query and preloads them into later engines' caches
+(:meth:`repro.index.RepositoryIndex.preload_cache`).
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import pickle
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from repro.errors import ConfigError
-
-#: On-disk format version of :meth:`DetectionCache.save` snapshots.
-#: Version 2 snapshots hold scoped keys only; version 1 could also hold
-#: un-scoped ``(video, frame, class)`` keys, so it is refused.
-CACHE_SNAPSHOT_VERSION = 2
 
 #: Cache key: (detector scope, video, frame, class_filter-or-None).
 CacheKey = Tuple[str, int, int, Optional[str]]
@@ -264,9 +262,8 @@ class DetectionCache:
 
         ``scope`` restricts the copy to one detector's keys. Like
         :meth:`__contains__`, reading a snapshot never perturbs the
-        hit/miss statistics, so persistence layers — :meth:`save`, the
-        repository index's detection-row harvest — can export entries
-        without skewing effectiveness numbers.
+        hit/miss statistics, so the repository index can harvest
+        detection rows without skewing effectiveness numbers.
         """
         with self._lock:
             items = list(self._store.items())
@@ -277,95 +274,6 @@ class DetectionCache:
             for key, value in items
             if key[0] == scope
         }
-
-    # -- explicit on-disk persistence ----------------------------------------
-
-    def save(self, path: str) -> int:
-        """Write contents to ``path`` as a digest-checked envelope.
-
-        Pickling a cache deliberately drops its contents (checkpoints must
-        stay small); this is the explicit opposite — a warm memo carried
-        across processes on purpose. The envelope mirrors the session
-        checkpoint format: a version tag, summary metadata (policy,
-        capacity, entry count, the scope digests present), a blake2b
-        digest of the pickled payload, and the payload itself. Returns the
-        number of entries written.
-        """
-        entries = self.snapshot()
-        payload = pickle.dumps(
-            {"entries": entries}, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        envelope = {
-            "version": CACHE_SNAPSHOT_VERSION,
-            "meta": {
-                "policy": self.policy,
-                "capacity": self.capacity,
-                "entries": len(entries),
-                "scopes": sorted({key[0] for key in entries}),
-            },
-            "digest": hashlib.blake2b(payload, digest_size=16).hexdigest(),
-            "payload": payload,
-        }
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "wb") as handle:
-            pickle.dump(envelope, handle, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        return len(entries)
-
-    @classmethod
-    def load(cls, path: str, detector=None) -> "DetectionCache":
-        """Revive a :meth:`save` snapshot as a warm cache.
-
-        ``detector`` (optional but recommended) pins the load to one
-        detector identity: every scope digest recorded in the snapshot
-        must equal ``detector.cache_scope()``, otherwise the load is
-        refused with a :class:`~repro.errors.ConfigError` — the PR 4
-        cross-world cache regression showed what silently adopting rows
-        from another world does to results. The payload digest is always
-        verified.
-        """
-        with open(path, "rb") as handle:
-            try:
-                envelope = pickle.load(handle)
-            except Exception as exc:
-                raise ConfigError(
-                    f"could not decode detection cache snapshot {path!r}: {exc}"
-                ) from exc
-        if not isinstance(envelope, dict) or "version" not in envelope:
-            raise ConfigError(f"{path!r} is not a detection cache snapshot")
-        if envelope["version"] != CACHE_SNAPSHOT_VERSION:
-            raise ConfigError(
-                f"unsupported cache snapshot version {envelope['version']} "
-                f"(this library reads version {CACHE_SNAPSHOT_VERSION})"
-            )
-        digest = hashlib.blake2b(
-            envelope["payload"], digest_size=16
-        ).hexdigest()
-        if digest != envelope["digest"]:
-            raise ConfigError(
-                f"cache snapshot {path!r} failed its digest check: the file "
-                "was corrupted in storage or transit"
-            )
-        meta = envelope["meta"]
-        if detector is not None:
-            expected = detector.cache_scope()
-            foreign = [s for s in meta.get("scopes", []) if s != expected]
-            if foreign:
-                raise ConfigError(
-                    f"cache snapshot {path!r} holds rows for detector "
-                    f"scope(s) {[s[:12] + '…' for s in foreign]} but the "
-                    f"attached detector's scope is {expected[:12]}…; the "
-                    "world, seed or profile changed since the snapshot — "
-                    "refusing to load stale detections"
-                )
-        state = pickle.loads(envelope["payload"])
-        cache = cls(
-            policy=meta["policy"],
-            capacity=meta["capacity"] if meta["capacity"] is not None else 65536,
-        )
-        for key, value in state["entries"].items():
-            cache.put(key, value)
-        return cache
 
     def _per_scope(self) -> Dict[str, ScopeCacheInfo]:
         scopes = set(self._scope_hits) | set(self._scope_misses)

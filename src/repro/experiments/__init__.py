@@ -5,7 +5,11 @@ One module per artifact — :mod:`~repro.experiments.fig2` through
 ablation suite. Each module exposes ``run(config)`` and ``format_result``;
 the config classes have ``quick()`` and ``paper()`` constructors and
 :func:`~repro.experiments.runner.default_config` picks between them based on
-the ``REPRO_FULL`` environment variable.
+the ``REPRO_FULL`` environment variable (the CLI's ``--full`` sets it).
+
+Every simulated run is built from the searcher registry by
+:func:`~repro.experiments.runner.make_searcher`, and fig5 and fig6 share
+one savings trial and its per-(dataset, class) median.
 
 Every harness executes its independent units (runs, trials, cells, rows)
 through :mod:`repro.experiments.parallel`: set ``REPRO_JOBS=N`` (or the CLI
@@ -30,9 +34,7 @@ from repro.experiments.runner import (
     is_full_scale,
     median_discovery,
     median_samples_to,
-    repeated_traces,
     sample_grid,
-    sweep_methods,
 )
 
 __all__ = [
@@ -51,10 +53,8 @@ __all__ = [
     "parallel_map",
     "parallel_sweep_methods",
     "parallel_traces",
-    "repeated_traces",
     "report",
     "resolve_jobs",
     "sample_grid",
-    "sweep_methods",
     "table1",
 ]

@@ -15,6 +15,9 @@ effect of the knob is directly comparable:
 * :func:`chunk_count_ablation` — §IV-C on a real dataset's class intervals.
 * :func:`proxy_quality_ablation` — how good a proxy must be before paying
   its scan beats sampling (§V-B / the §VII fusion discussion).
+
+The first four state their variants as rows of one table, ``_ROWS``, run
+by one loop on one synthetic population per ablation.
 """
 
 from __future__ import annotations
@@ -26,11 +29,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.baselines.random_search import RandomSearcher
-from repro.baselines.randomplus_search import RandomPlusSearcher
 from repro.core.config import ExSampleConfig
 from repro.core.sampler import ExSampleSearcher
-from repro.experiments.parallel import parallel_map
-from repro.experiments.runner import median_samples_to, repeated_traces
+from repro.experiments.parallel import parallel_map, parallel_traces
+from repro.experiments.runner import make_searcher, median_samples_to
 from repro.query.engine import QueryEngine
 from repro.query.metrics import time_to_recall
 from repro.query.query import DistinctObjectQuery
@@ -67,127 +69,78 @@ class AblationConfig:
         )
 
 
-def _population(config: AblationConfig, rngs: RngFactory) -> InstancePopulation:
-    return InstancePopulation.place(
+#: The population ablations as data: stream name -> rows of (label,
+#: registered method, stream key, ExSampleConfig overrides). Run ``i`` of a
+#: row draws from ``rngs.child(*key, i)``, so every row keeps its streams
+#: whatever rows sit beside it.
+_ROWS: Dict[str, Tuple[Tuple[str, str, tuple, dict], ...]] = {
+    "abl-rplus": (
+        ("exsample/randomplus", "exsample", ("ex", "randomplus"),
+         {"within_chunk_order": "randomplus"}),
+        ("exsample/uniform", "exsample", ("ex", "uniform"),
+         {"within_chunk_order": "uniform"}),
+        ("random", "random", ("rnd",), {}),
+        ("random+", "randomplus", ("rp",), {}),
+    ),
+    "abl-policy": tuple(
+        (policy, "exsample", ("ex", policy), {"policy": policy})
+        for policy in ("thompson", "bayes_ucb", "greedy", "uniform")
+    ),
+    "abl-prior": tuple(
+        (f"a0={a0},b0={b0}", "exsample", ("ex", a0, b0), {"alpha0": a0, "beta0": b0})
+        for a0, b0 in ((0.01, 1.0), (0.1, 1.0), (1.0, 1.0), (0.1, 0.1), (0.1, 10.0))
+    ),
+    "abl-batch": tuple(
+        (f"batch={batch}", "exsample", ("ex", batch), {"batch_size": batch})
+        for batch in (1, 8, 64)
+    ),
+}
+
+
+def _run_rows(name: str, config: AblationConfig) -> Dict[str, Optional[float]]:
+    """Median samples-to-target for every row of ``_ROWS[name]``.
+
+    All rows search one population placed from the ``name`` stream; each
+    row's runs fan out over ``REPRO_JOBS`` workers.
+    """
+    rngs = RngFactory(config.seed).child(name)
+    population = InstancePopulation.place(
         config.num_instances,
         config.total_frames,
         config.mean_duration,
         rngs.stream("pop"),
         skew_fraction=config.skew,
     )
-
-
-def _median_to_target(
-    make_searcher, config: AblationConfig
-) -> Optional[float]:
-    traces = repeated_traces(
-        make_searcher, config.runs, frame_budget=config.frame_budget
-    )
-    return median_samples_to(traces, config.target_results)
-
-
-# -- module-level (hence picklable) searcher factories -----------------------
-# Bound with functools.partial at each call site so repeated_traces can fan
-# runs out over worker processes; every factory derives its randomness from
-# (rngs, key..., run_idx) alone, keeping parallel results serial-identical.
-
-
-def _make_exsample(population, bounds, rngs, keys, config_kwargs, run_idx):
-    env = TemporalEnvironment(population, bounds)
-    return ExSampleSearcher(
-        env,
-        ExSampleConfig(seed=run_idx, **config_kwargs),
-        rng=rngs.child("ex", *keys, run_idx),
-    )
-
-
-def _make_random(population, bounds, rngs, run_idx):
-    env = TemporalEnvironment(population, bounds)
-    return RandomSearcher(env, rng=rngs.child("rnd", run_idx))
-
-
-def _make_randomplus(population, bounds, rngs, run_idx):
-    env = TemporalEnvironment(population, bounds)
-    return RandomPlusSearcher(env, rng=rngs.child("rp", run_idx))
+    bounds = even_chunk_bounds(config.total_frames, config.num_chunks)
+    out: Dict[str, Optional[float]] = {}
+    for label, method, key, kwargs in _ROWS[name]:
+        traces = parallel_traces(
+            partial(make_searcher, method, population, bounds, rngs, key, kwargs),
+            config.runs,
+            frame_budget=config.frame_budget,
+        )
+        out[label] = median_samples_to(traces, config.target_results)
+    return out
 
 
 def randomplus_ablation(config: AblationConfig) -> Dict[str, Optional[float]]:
     """Median samples-to-target for the four order combinations."""
-    rngs = RngFactory(config.seed).child("abl-rplus")
-    population = _population(config, rngs)
-    bounds = even_chunk_bounds(config.total_frames, config.num_chunks)
-    out: Dict[str, Optional[float]] = {}
-
-    for order in ("randomplus", "uniform"):
-        make = partial(
-            _make_exsample,
-            population,
-            bounds,
-            rngs,
-            (order,),
-            {"within_chunk_order": order},
-        )
-        out[f"exsample/{order}"] = _median_to_target(make, config)
-
-    out["random"] = _median_to_target(
-        partial(_make_random, population, bounds, rngs), config
-    )
-    out["random+"] = _median_to_target(
-        partial(_make_randomplus, population, bounds, rngs), config
-    )
-    return out
+    return _run_rows("abl-rplus", config)
 
 
 def policy_ablation(config: AblationConfig) -> Dict[str, Optional[float]]:
     """Thompson vs Bayes-UCB vs greedy vs uniform chunk policies."""
-    rngs = RngFactory(config.seed).child("abl-policy")
-    population = _population(config, rngs)
-    bounds = even_chunk_bounds(config.total_frames, config.num_chunks)
-    out: Dict[str, Optional[float]] = {}
-    for policy in ("thompson", "bayes_ucb", "greedy", "uniform"):
-        make = partial(
-            _make_exsample, population, bounds, rngs, (policy,), {"policy": policy}
-        )
-        out[policy] = _median_to_target(make, config)
-    return out
+    return _run_rows("abl-policy", config)
 
 
 def prior_ablation(config: AblationConfig) -> Dict[str, Optional[float]]:
     """Sensitivity to the Gamma prior pseudo-counts (alpha0, beta0)."""
-    rngs = RngFactory(config.seed).child("abl-prior")
-    population = _population(config, rngs)
-    bounds = even_chunk_bounds(config.total_frames, config.num_chunks)
-    out: Dict[str, Optional[float]] = {}
-    for alpha0, beta0 in ((0.01, 1.0), (0.1, 1.0), (1.0, 1.0), (0.1, 0.1), (0.1, 10.0)):
-        make = partial(
-            _make_exsample,
-            population,
-            bounds,
-            rngs,
-            (alpha0, beta0),
-            {"alpha0": alpha0, "beta0": beta0},
-        )
-        out[f"a0={alpha0},b0={beta0}"] = _median_to_target(make, config)
-    return out
+    return _run_rows("abl-prior", config)
 
 
 def batch_ablation(config: AblationConfig) -> Dict[str, Optional[float]]:
     """Batched Thompson sampling (§III-F) vs one frame at a time."""
-    rngs = RngFactory(config.seed).child("abl-batch")
-    population = _population(config, rngs)
-    bounds = even_chunk_bounds(config.total_frames, config.num_chunks)
-    out: Dict[str, Optional[float]] = {}
-    for batch in (1, 8, 64):
-        make = partial(
-            _make_exsample,
-            population,
-            bounds,
-            rngs,
-            (batch,),
-            {"batch_size": batch},
-        )
-        out[f"batch={batch}"] = _median_to_target(make, config)
-    return out
+    return _run_rows("abl-batch", config)
 
 
 def batch_time_ablation(
@@ -240,9 +193,9 @@ def chunk_count_ablation(
     for num_chunks in chunk_counts:
         bounds = even_chunk_bounds(dataset.total_frames, num_chunks)
         make = partial(
-            _make_exsample, population, bounds, rngs, (num_chunks,), {}
+            make_searcher, "exsample", population, bounds, rngs, ("ex", num_chunks), {}
         )
-        traces = repeated_traces(
+        traces = parallel_traces(
             make, config.runs, frame_budget=dataset.total_frames // 4
         )
         out[f"M={num_chunks}"] = median_samples_to(traces, target)

@@ -21,14 +21,10 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.baselines.random_search import RandomSearcher
-from repro.core.config import ExSampleConfig
-from repro.core.sampler import ExSampleSearcher
-from repro.experiments.parallel import parallel_map
-from repro.experiments.runner import median_samples_to, repeated_traces
+from repro.experiments.parallel import parallel_map, parallel_traces
+from repro.experiments.runner import make_searcher, median_samples_to
 from repro.theory.instances import InstancePopulation, even_chunk_bounds
 from repro.theory.optimal_weights import expected_found
-from repro.theory.temporal_sim import TemporalEnvironment
 from repro.utils.rng import RngFactory
 from repro.utils.stats import geometric_mean
 from repro.utils.tables import ascii_table
@@ -94,19 +90,6 @@ class Fig3Result:
         return out
 
 
-def _make_exsample(population, bounds, rngs: RngFactory, run_idx: int) -> ExSampleSearcher:
-    """Module-level (hence picklable) searcher factory for parallel runs."""
-    env = TemporalEnvironment(population, bounds)
-    return ExSampleSearcher(
-        env, ExSampleConfig(seed=run_idx), rng=rngs.child("ex", run_idx)
-    )
-
-
-def _make_random(population, bounds, rngs: RngFactory, run_idx: int) -> RandomSearcher:
-    env = TemporalEnvironment(population, bounds)
-    return RandomSearcher(env, rng=rngs.child("rnd", run_idx))
-
-
 def run_cell(
     config: Fig3Config, skew: Optional[float], duration: int
 ) -> Fig3Cell:
@@ -120,14 +103,15 @@ def run_cell(
     )
     bounds = even_chunk_bounds(config.total_frames, config.num_chunks)
 
-    make_exsample = partial(_make_exsample, population, bounds, rngs)
-    make_random = partial(_make_random, population, bounds, rngs)
-
-    ex_traces = repeated_traces(
-        make_exsample, config.runs, frame_budget=config.frame_budget
+    ex_traces = parallel_traces(
+        partial(make_searcher, "exsample", population, bounds, rngs, ("ex",), {}),
+        config.runs,
+        frame_budget=config.frame_budget,
     )
-    rnd_traces = repeated_traces(
-        make_random, config.runs, frame_budget=config.frame_budget
+    rnd_traces = parallel_traces(
+        partial(make_searcher, "random", population, bounds, rngs, ("rnd",), {}),
+        config.runs,
+        frame_budget=config.frame_budget,
     )
 
     samples_to: Dict[str, Dict[int, Optional[float]]] = {"exsample": {}, "random": {}}
@@ -170,7 +154,7 @@ def run(config: Fig3Config) -> Fig3Result:
 
     Each cell is self-seeded from ``(config.seed, skew, duration)``, so the
     parallel grid is element-wise identical to the serial one. Inside a
-    worker the per-cell ``repeated_traces`` stays serial (no nested pools).
+    worker the per-cell ``parallel_traces`` stays serial (no nested pools).
     """
     grid = [
         (skew, duration)

@@ -19,13 +19,10 @@ from typing import List, Tuple
 
 import numpy as np
 
-from repro.baselines.random_search import RandomSearcher
-from repro.core.config import ExSampleConfig
-from repro.core.sampler import ExSampleSearcher
-from repro.experiments.runner import median_discovery, repeated_traces, sample_grid
+from repro.experiments.parallel import parallel_traces
+from repro.experiments.runner import make_searcher, median_discovery, sample_grid
 from repro.theory.instances import InstancePopulation, even_chunk_bounds
 from repro.theory.optimal_weights import optimal_curve
-from repro.theory.temporal_sim import TemporalEnvironment
 from repro.utils.rng import RngFactory
 from repro.utils.tables import ascii_table, sparkline
 
@@ -90,23 +87,6 @@ class Fig4Result:
     config: Fig4Config
 
 
-def _make_exsample(
-    population, bounds, rngs: RngFactory, num_chunks: int, run_idx: int
-) -> ExSampleSearcher:
-    """Module-level (hence picklable) searcher factory for parallel runs."""
-    env = TemporalEnvironment(population, bounds)
-    return ExSampleSearcher(
-        env,
-        ExSampleConfig(seed=run_idx),
-        rng=rngs.child("ex", num_chunks, run_idx),
-    )
-
-
-def _make_random(population, rngs: RngFactory, run_idx: int) -> RandomSearcher:
-    env = TemporalEnvironment.with_even_chunks(population, 1)
-    return RandomSearcher(env, rng=rngs.child("rnd", run_idx))
-
-
 def run(config: Fig4Config) -> Fig4Result:
     rngs = RngFactory(config.seed).child("fig4")
     population = InstancePopulation.place(
@@ -120,12 +100,10 @@ def run(config: Fig4Config) -> Fig4Result:
     curves: List[Fig4Curve] = []
     for num_chunks in config.chunk_counts:
         bounds = even_chunk_bounds(config.total_frames, num_chunks)
-
-        traces = repeated_traces(
-            partial(_make_exsample, population, bounds, rngs, num_chunks),
-            config.runs,
-            frame_budget=config.frame_budget,
+        make = partial(
+            make_searcher, "exsample", population, bounds, rngs, ("ex", num_chunks), {}
         )
+        traces = parallel_traces(make, config.runs, frame_budget=config.frame_budget)
         median, low, high = median_discovery(traces, grid)
         p_matrix = population.chunk_probabilities(bounds)
         # Coarse optimal curve: solving per grid point is the dominant cost,
@@ -144,8 +122,10 @@ def run(config: Fig4Config) -> Fig4Result:
             )
         )
 
-    random_traces = repeated_traces(
-        partial(_make_random, population, rngs),
+    # Random sampling ignores chunk boundaries: one chunk spans the timeline.
+    one_chunk = even_chunk_bounds(config.total_frames, 1)
+    random_traces = parallel_traces(
+        partial(make_searcher, "random", population, one_chunk, rngs, ("rnd",), {}),
         config.runs,
         frame_budget=config.frame_budget,
     )

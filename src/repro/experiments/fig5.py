@@ -20,11 +20,11 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.experiments.parallel import dataset_engine, parallel_map
-from repro.experiments.table1 import QUICK_CLASSES
-from repro.query.metrics import savings_ratio
-from repro.query.query import DistinctObjectQuery
+from repro.experiments.runner import median_savings, savings_trial
+from repro.experiments.table1 import select_classes
 from repro.utils.stats import geometric_mean
 from repro.utils.tables import ascii_table
+from repro.video.datasets import DATASET_BUILDERS
 
 
 @dataclass(frozen=True)
@@ -38,33 +38,12 @@ class Fig5Config:
 
     @classmethod
     def quick(cls) -> "Fig5Config":
-        return cls(
-            datasets=(
-                "dashcam",
-                "bdd1k",
-                "bdd_mot",
-                "amsterdam",
-                "archie",
-                "night_street",
-            ),
-            scale=0.04,
-            trials=2,
-        )
+        return cls(datasets=tuple(DATASET_BUILDERS), scale=0.04, trials=2)
 
     @classmethod
     def paper(cls) -> "Fig5Config":
         return cls(
-            datasets=(
-                "dashcam",
-                "bdd1k",
-                "bdd_mot",
-                "amsterdam",
-                "archie",
-                "night_street",
-            ),
-            scale=1.0,
-            trials=5,
-            max_classes=None,
+            datasets=tuple(DATASET_BUILDERS), scale=1.0, trials=5, max_classes=None
         )
 
 
@@ -98,79 +77,26 @@ class Fig5Result:
         return geometric_mean(all_ratios) if all_ratios else float("nan")
 
 
-def _run_trial(
-    scale: float,
-    seed: int,
-    recalls: Tuple[float, ...],
-    task: Tuple[str, str, int],
-) -> Dict[float, Optional[float]]:
-    """One (dataset, class, trial) unit: ExSample vs random savings ratios.
-
-    Module-level and self-contained (the engine is resolved through the
-    process-local :func:`dataset_engine` memo) so trials can run in any
-    worker; each trial depends only on ``(seed, class, trial)``, never on
-    execution order.
-    """
-    ds_name, class_name, trial = task
-    dataset, engine = dataset_engine(ds_name, scale, seed)
-    query = DistinctObjectQuery(
-        class_name,
-        recall_target=max(recalls),
-        frame_budget=dataset.total_frames // 2,
-    )
-    ex = engine.run(query, method="exsample", run_seed=trial)
-    rnd = engine.run(query, method="random", run_seed=trial)
-    return {
-        recall: savings_ratio(rnd.trace, ex.trace, ex.gt_count, recall, mode="time")
-        for recall in recalls
-    }
-
-
 def run(config: Fig5Config) -> Fig5Result:
-    # Enumerate every (dataset, class, trial) unit up front, then fan the
-    # flat list out over workers; datasets built here pre-warm the
-    # process-local memo the workers resolve through.
-    bar_keys: List[Tuple[str, str, int]] = []
-    tasks: List[Tuple[str, str, int]] = []
-    for ds_name in config.datasets:
-        dataset, _ = dataset_engine(ds_name, config.scale, config.seed)
-        for class_name in _select_classes(ds_name, dataset.classes, config):
-            bar_keys.append((ds_name, class_name, dataset.gt_count(class_name)))
-            tasks.extend(
-                (ds_name, class_name, trial) for trial in range(config.trials)
-            )
+    # Every (dataset, class, trial) unit fans out over workers as one list.
+    pairs = select_classes(config)
+    tasks = [(ds, cls, trial) for ds, cls in pairs for trial in range(config.trials)]
     results = parallel_map(
-        partial(_run_trial, config.scale, config.seed, config.recalls), tasks
+        partial(savings_trial, config.scale, config.seed, config.recalls), tasks
     )
-    by_bar: Dict[Tuple[str, str], Dict[float, List[float]]] = {}
-    for (ds_name, class_name, _trial), ratios in zip(tasks, results, strict=True):
-        per_recall = by_bar.setdefault(
-            (ds_name, class_name), {r: [] for r in config.recalls}
+    savings = median_savings(tasks, results, config.recalls)
+    bars: List[Fig5Bar] = []
+    for ds_name, class_name in pairs:
+        dataset, _ = dataset_engine(ds_name, config.scale, config.seed)
+        bars.append(
+            Fig5Bar(
+                dataset=ds_name,
+                class_name=class_name,
+                gt_count=dataset.gt_count(class_name),
+                savings=savings[(ds_name, class_name)],
+            )
         )
-        for recall, ratio in ratios.items():
-            if ratio is not None:
-                per_recall[recall].append(ratio)
-    bars = [
-        Fig5Bar(
-            dataset=ds_name,
-            class_name=class_name,
-            gt_count=gt_count,
-            savings={
-                r: (float(np.median(v)) if v else None)
-                for r, v in by_bar[(ds_name, class_name)].items()
-            },
-        )
-        for ds_name, class_name, gt_count in bar_keys
-    ]
     return Fig5Result(bars=bars, config=config)
-
-
-def _select_classes(ds_name: str, available: List[str], config: Fig5Config):
-    if config.max_classes is None:
-        return available
-    preferred = [c for c in QUICK_CLASSES.get(ds_name, ()) if c in available]
-    rest = [c for c in available if c not in preferred]
-    return (preferred + rest)[: config.max_classes]
 
 
 def format_result(result: Fig5Result) -> str:

@@ -25,11 +25,8 @@ from dataclasses import dataclass
 from functools import partial
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.experiments.parallel import dataset_engine, parallel_map
-from repro.query.metrics import savings_ratio
-from repro.query.query import DistinctObjectQuery
+from repro.experiments.runner import median_savings, savings_trial
 from repro.theory.skew import SkewSummary
 from repro.utils.tables import ascii_table
 
@@ -75,22 +72,6 @@ class Fig6Result:
     config: Fig6Config
 
 
-def _run_trial(
-    scale: float, seed: int, recall: float, task: Tuple[str, str, int]
-) -> Optional[float]:
-    """One (dataset, class, trial) savings measurement (picklable unit)."""
-    ds_name, class_name, trial = task
-    dataset, engine = dataset_engine(ds_name, scale, seed)
-    query = DistinctObjectQuery(
-        class_name,
-        recall_target=recall,
-        frame_budget=dataset.total_frames // 2,
-    )
-    ex = engine.run(query, method="exsample", run_seed=trial)
-    rnd = engine.run(query, method="random", run_seed=trial)
-    return savings_ratio(rnd.trace, ex.trace, ex.gt_count, recall, mode="time")
-
-
 def run(config: Fig6Config) -> Fig6Result:
     tasks = [
         (ds_name, class_name, trial)
@@ -100,24 +81,21 @@ def run(config: Fig6Config) -> Fig6Result:
     # Pre-warm the dataset/engine memo (shared with forked workers).
     for ds_name, _, _, _ in PAPER_EXEMPLARS:
         dataset_engine(ds_name, config.scale, config.seed)
+    recalls = (config.recall,)
     results = parallel_map(
-        partial(_run_trial, config.scale, config.seed, config.recall), tasks
+        partial(savings_trial, config.scale, config.seed, recalls), tasks
     )
-    ratio_lists: dict = {}
-    for (ds_name, class_name, _trial), ratio in zip(tasks, results, strict=True):
-        if ratio is not None:
-            ratio_lists.setdefault((ds_name, class_name), []).append(ratio)
+    savings = median_savings(tasks, results, recalls)
     panels: List[Fig6Panel] = []
     for ds_name, class_name, paper_n, paper_s in PAPER_EXEMPLARS:
         dataset, _ = dataset_engine(ds_name, config.scale, config.seed)
         summary = SkewSummary.from_counts(dataset.skew_counts(class_name))
-        ratios = ratio_lists.get((ds_name, class_name), [])
         panels.append(
             Fig6Panel(
                 dataset=ds_name,
                 class_name=class_name,
                 summary=summary,
-                savings=float(np.median(ratios)) if ratios else None,
+                savings=savings.get((ds_name, class_name), {}).get(config.recall),
                 paper_n=paper_n,
                 paper_s=paper_s,
             )

@@ -1,13 +1,14 @@
 """Process-parallel experiment execution with serial-identical results.
 
 Every experiment in this library repeats deterministic, independent work:
-``repeated_traces`` runs one searcher factory over N run indices,
-``sweep_methods`` runs one query under every registered method, and the
-figure harnesses iterate (dataset × class × trial) grids. Each unit derives
-its randomness from its own index (child ``RngFactory`` streams keyed on the
-run index, per-frame detector streams keyed on the frame), so units can
-execute in any process in any order and produce byte-identical results —
-the only thing parallelism may change is wall-clock time.
+:func:`parallel_traces` runs one searcher factory over N run indices,
+:func:`parallel_sweep_methods` runs one query under every registered
+method, and the figure harnesses iterate (dataset × class × trial) grids.
+Each unit derives its randomness from its own index (child ``RngFactory``
+streams keyed on the run index, per-frame detector streams keyed on the
+frame), so units can execute in any process in any order and produce
+byte-identical results — the only thing parallelism may change is
+wall-clock time.
 
 :func:`parallel_map` is the one primitive: an order-stable process-parallel
 map over picklable tasks built on :class:`concurrent.futures
@@ -25,7 +26,7 @@ start method follows ``REPRO_MP_CONTEXT`` (else the platform default),
 workers exit on their own if the caller dies, and workers mark
 themselves via the ``REPRO_IN_WORKER`` environment variable, so nested
 ``parallel_map`` calls (a parallelised experiment whose cells call
-``repeated_traces``) stay serial instead of oversubscribing.
+``parallel_traces``) stay serial instead of oversubscribing.
 
 Tasks carry their engines, and with them their synthetic worlds. A
 built :class:`~repro.video.synthetic.SyntheticWorld` pickles as its
@@ -164,11 +165,12 @@ def parallel_traces(
     """Run ``make_searcher(run_idx)`` for each run index, possibly in parallel.
 
     ``make_searcher`` must return a searcher over a *fresh* environment and
-    derive all randomness from ``run_idx`` (the convention every experiment
-    module already follows); it must be picklable — a ``functools.partial``
-    over a module-level function — for the parallel path to engage.
-    Results are gathered in run order, element-wise identical to the
-    serial loop.
+    derive all randomness from ``run_idx``; it must be picklable — a
+    ``functools.partial`` over a module-level function such as
+    :func:`repro.experiments.runner.make_searcher` — for the parallel path
+    to engage. ``jobs`` defaults to the ``REPRO_JOBS`` environment
+    variable, else 1. Results are gathered in run order, element-wise
+    identical to the serial loop.
     """
     limits = dict(
         frame_budget=frame_budget,
@@ -214,15 +216,16 @@ def parallel_sweep_methods(
 ) -> Dict[str, object]:
     """Run one query under every method; returns {method: outcome}.
 
-    The parallel counterpart of :func:`repro.experiments.runner
-    .sweep_methods` (which delegates here): each method runs in its own
-    worker against a pickled copy of the engine, whose world travels as
-    its recipe and is rebuilt once per worker.
-    Outcomes are identical to the serial sweep — every run derives only
-    from ``(engine seed, method, run_seed)`` — and arrive in method
-    order. Third-party methods travel
-    as their :class:`~repro.core.registry.SearcherSpec`, so workers on
-    spawn-start platforms re-import/re-register them; a plug-in whose
+    ``methods`` defaults to the live ``SEARCH_METHODS`` registry view, so a
+    method registered with ``@register_searcher`` — third-party plug-ins
+    included — joins every sweep (and the CLI ``compare`` table). With
+    ``jobs`` > 1 (default: ``REPRO_JOBS``, else 1) each method runs in its
+    own worker against a pickled copy of the engine, whose world travels
+    as its recipe and is rebuilt once per worker. Outcomes are identical
+    to the serial sweep — every run derives only from ``(engine seed,
+    method, run_seed)`` — and arrive in method order. Third-party methods
+    travel as their :class:`~repro.core.registry.SearcherSpec`, so workers
+    on spawn-start platforms re-import/re-register them; a plug-in whose
     spec cannot be pickled degrades to the serial sweep.
     """
     from repro.core.registry import SEARCH_METHODS, searcher_spec

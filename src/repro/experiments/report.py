@@ -1,9 +1,10 @@
 """One-shot regeneration of every paper artifact into a single report.
 
 ``generate_report()`` runs each experiment harness (quick configurations by
-default, paper-scale under ``REPRO_FULL=1``) and concatenates the formatted
-artifacts — the programmatic equivalent of running the whole benchmark
-suite, usable from the CLI (``python -m repro experiment all``) or from a
+default, paper-scale under ``REPRO_FULL=1`` or ``full=True``) and
+concatenates the formatted artifacts — the programmatic equivalent of
+running the whole benchmark suite, usable from the CLI (``python -m repro
+experiment all``, where ``--full`` sets ``REPRO_FULL=1``) or from a
 notebook.
 """
 

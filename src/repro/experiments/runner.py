@@ -1,24 +1,35 @@
-"""Shared experiment machinery: scales, repeated runs, trajectory summaries.
+"""Shared experiment machinery: scales, simulated runs, savings trials.
 
 Every experiment module follows one convention: a frozen ``*Config`` with
 ``quick()`` and ``paper()`` constructors, a ``run(config) -> *Result``
-function, and a ``format_result`` renderer. Benches call ``run`` with
-:func:`default_config`, which selects the paper-scale configuration when the
-``REPRO_FULL=1`` environment variable is set and the quick configuration
-otherwise. Scaling down changes absolute counts, never the comparison
-structure, so the qualitative shape (who wins, roughly by how much, where
-the crossovers sit) is preserved.
+function, and a ``format_result`` renderer. Benches and the CLI call
+``run`` with :func:`default_config`, which selects the paper-scale
+configuration when the ``REPRO_FULL=1`` environment variable is set and
+the quick configuration otherwise. Scaling down changes absolute counts,
+never the comparison structure, so the qualitative shape (who wins,
+roughly by how much, where the crossovers sit) is preserved.
+
+The harnesses share their units of work from here: :func:`make_searcher`
+builds every simulated run (fig3, fig4, the ablations) from the searcher
+registry, and fig5 and fig6 share :func:`savings_trial` and
+:func:`median_savings`.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+import repro.baselines  # noqa: F401  - registers random and randomplus
+from repro.core.config import ExSampleConfig
+from repro.core.registry import SearcherContext, searcher_spec
 from repro.core.sampler import SearchTrace
-from repro.query.metrics import interpolate_curves_on_grid
+from repro.experiments.parallel import dataset_engine
+from repro.query.metrics import interpolate_curves_on_grid, savings_ratio
+from repro.query.query import DistinctObjectQuery
+from repro.theory.temporal_sim import TemporalEnvironment
 from repro.utils.stats import median_and_band
 
 
@@ -32,34 +43,31 @@ def default_config(config_cls):
     return config_cls.paper() if is_full_scale() else config_cls.quick()
 
 
-def repeated_traces(
-    make_searcher: Callable[[int], "object"],
-    runs: int,
-    frame_budget: int | None = None,
-    result_limit: int | None = None,
-    distinct_real_limit: int | None = None,
-    jobs: int | None = None,
-) -> List[SearchTrace]:
-    """Run a freshly constructed searcher ``runs`` times.
+def make_searcher(
+    method: str,
+    population,
+    bounds: np.ndarray,
+    rngs,
+    key: tuple,
+    config_kwargs: dict,
+    run_idx: int,
+):
+    """Run ``run_idx`` of a registered ``method`` over a fresh simulation.
 
-    ``make_searcher(run_index)`` must return a searcher over a *fresh*
-    environment (environments are stateful across a run) and derive its
-    randomness from the run index, which makes every run independent of
-    execution order. ``jobs`` (default: the ``REPRO_JOBS`` environment
-    variable, else 1) fans the runs out over worker processes via
-    :func:`repro.experiments.parallel.parallel_traces`; traces come back
-    in run order, element-wise identical to the serial loop.
+    The method's factory gets a new :class:`TemporalEnvironment`, the stream
+    ``rngs.child(*key, run_idx)`` and ``ExSampleConfig(seed=run_idx,
+    **config_kwargs)``, which non-ExSample methods ignore. A
+    ``functools.partial`` over all but ``run_idx`` is a picklable factory
+    for :func:`~repro.experiments.parallel.parallel_traces`.
     """
-    from repro.experiments.parallel import parallel_traces
-
-    return parallel_traces(
-        make_searcher,
-        runs,
-        jobs=jobs,
-        frame_budget=frame_budget,
-        result_limit=result_limit,
-        distinct_real_limit=distinct_real_limit,
+    ctx = SearcherContext(
+        engine=None,
+        env=TemporalEnvironment(population, bounds),
+        rngs=rngs.child(*key, run_idx),
+        run_seed=run_idx,
+        config=ExSampleConfig(seed=run_idx, **config_kwargs),
     )
+    return searcher_spec(method).factory(ctx)
 
 
 def sample_grid(max_samples: int, points: int = 60) -> np.ndarray:
@@ -100,30 +108,44 @@ def median_samples_to(
     return med if np.isfinite(med) else None
 
 
-def sweep_methods(
-    engine,
-    query,
-    methods: Sequence[str] | None = None,
-    run_seed: int = 0,
-    jobs: int | None = None,
-    **searcher_kwargs,
-):
-    """Run one query under every search method; returns {method: outcome}.
+def savings_trial(
+    scale: float, seed: int, recalls: Tuple[float, ...], task: Tuple[str, str, int]
+) -> Dict[float, Optional[float]]:
+    """ExSample vs random time savings per recall for one (dataset, class,
+    trial); None where either run missed the recall.
 
-    ``methods`` defaults to the live ``SEARCH_METHODS`` registry view, so a
-    method registered with ``@register_searcher`` — third-party plug-ins
-    included — joins every sweep (and the CLI ``compare`` table) without
-    any experiment-side edits. ``jobs`` distributes the methods over
-    worker processes (outcomes are identical to the serial sweep; see
-    :mod:`repro.experiments.parallel`).
+    The engine comes from the process-local :func:`dataset_engine` memo, so
+    a trial runs in any worker and depends only on its arguments.
     """
-    from repro.experiments.parallel import parallel_sweep_methods
-
-    return parallel_sweep_methods(
-        engine,
-        query,
-        methods=methods,
-        run_seed=run_seed,
-        jobs=jobs,
-        **searcher_kwargs,
+    ds_name, class_name, trial = task
+    dataset, engine = dataset_engine(ds_name, scale, seed)
+    query = DistinctObjectQuery(
+        class_name,
+        recall_target=max(recalls),
+        frame_budget=dataset.total_frames // 2,
     )
+    ex = engine.run(query, method="exsample", run_seed=trial)
+    rnd = engine.run(query, method="random", run_seed=trial)
+    return {
+        recall: savings_ratio(rnd.trace, ex.trace, ex.gt_count, recall, mode="time")
+        for recall in recalls
+    }
+
+
+def median_savings(
+    tasks: Sequence[Tuple[str, str, int]],
+    results: Sequence[Dict[float, Optional[float]]],
+    recalls: Tuple[float, ...],
+) -> Dict[Tuple[str, str], Dict[float, Optional[float]]]:
+    """Median of :func:`savings_trial` results per (dataset, class) and
+    recall; None where none of the pair's trials reached the recall."""
+    ratios: Dict[Tuple[str, str], Dict[float, List[float]]] = {}
+    for (ds_name, class_name, _trial), per_recall in zip(tasks, results, strict=True):
+        pair = ratios.setdefault((ds_name, class_name), {r: [] for r in recalls})
+        for recall, ratio in per_recall.items():
+            if ratio is not None:
+                pair[recall].append(ratio)
+    return {
+        key: {r: (float(np.median(v)) if v else None) for r, v in pair.items()}
+        for key, pair in ratios.items()
+    }

@@ -25,6 +25,7 @@ from repro.query.cost import CostModel
 from repro.query.metrics import time_to_recall
 from repro.query.query import DistinctObjectQuery
 from repro.utils.tables import ascii_table, format_duration
+from repro.video.datasets import DATASET_BUILDERS
 
 #: Classes evaluated per dataset in quick mode (representative subset,
 #: including every Figure 6 exemplar). Full mode uses all classes.
@@ -48,32 +49,11 @@ class Table1Config:
 
     @classmethod
     def quick(cls) -> "Table1Config":
-        return cls(
-            datasets=(
-                "dashcam",
-                "bdd1k",
-                "bdd_mot",
-                "amsterdam",
-                "archie",
-                "night_street",
-            ),
-            scale=0.04,
-        )
+        return cls(datasets=tuple(DATASET_BUILDERS), scale=0.04)
 
     @classmethod
     def paper(cls) -> "Table1Config":
-        return cls(
-            datasets=(
-                "dashcam",
-                "bdd1k",
-                "bdd_mot",
-                "amsterdam",
-                "archie",
-                "night_street",
-            ),
-            scale=1.0,
-            max_classes=None,
-        )
+        return cls(datasets=tuple(DATASET_BUILDERS), scale=1.0, max_classes=None)
 
 
 @dataclass
@@ -129,27 +109,31 @@ def _run_row(
 
 
 def run(config: Table1Config) -> Table1Result:
-    tasks: List[Tuple[str, str]] = []
-    for ds_name in config.datasets:
-        dataset, _ = dataset_engine(ds_name, config.scale, config.seed)
-        tasks.extend(
-            (ds_name, class_name)
-            for class_name in _select_classes(ds_name, dataset.classes, config)
-        )
     rows = parallel_map(
-        partial(_run_row, config.scale, config.seed, config.recalls), tasks
+        partial(_run_row, config.scale, config.seed, config.recalls),
+        select_classes(config),
     )
     return Table1Result(rows=rows, config=config)
 
 
-def _select_classes(ds_name: str, available: List[str], config: Table1Config):
-    if config.max_classes is None:
-        return available
-    preferred = [
-        c for c in QUICK_CLASSES.get(ds_name, ()) if c in available
-    ]
-    rest = [c for c in available if c not in preferred]
-    return (preferred + rest)[: config.max_classes]
+def select_classes(config) -> List[Tuple[str, str]]:
+    """The (dataset, class) pairs a Table I or Figure 5 sweep evaluates.
+
+    Every class when ``config.max_classes`` is None; otherwise each
+    dataset's ``QUICK_CLASSES`` first, then its other classes, cut to
+    ``max_classes``. Building the datasets here pre-warms the process-local
+    memo that workers resolve engines through.
+    """
+    pairs: List[Tuple[str, str]] = []
+    for ds_name in config.datasets:
+        dataset, _ = dataset_engine(ds_name, config.scale, config.seed)
+        classes = dataset.classes
+        if config.max_classes is not None:
+            preferred = [c for c in QUICK_CLASSES.get(ds_name, ()) if c in classes]
+            rest = [c for c in classes if c not in preferred]
+            classes = (preferred + rest)[: config.max_classes]
+        pairs.extend((ds_name, class_name) for class_name in classes)
+    return pairs
 
 
 def format_result(result: Table1Result) -> str:

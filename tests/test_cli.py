@@ -303,9 +303,51 @@ class TestExperimentAndAblation:
             fig6_mod.Fig6Config, "quick",
             classmethod(lambda cls: cls(scale=0.02, trials=1)),
         )
+        monkeypatch.delenv("REPRO_FULL", raising=False)
         code, text = run_cli("experiment", "fig6")
         assert code == 0
         assert "Figure 6" in text
+
+    def test_experiment_honours_repro_full(self, monkeypatch):
+        """REPRO_FULL=1, or --full, which sets it, runs the paper config."""
+        from repro.experiments import fig6 as fig6_mod
+
+        def quick(cls):
+            raise AssertionError("the quick config ran under REPRO_FULL=1")
+
+        monkeypatch.setattr(fig6_mod.Fig6Config, "quick", classmethod(quick))
+        monkeypatch.setattr(
+            fig6_mod.Fig6Config, "paper",
+            classmethod(lambda cls: cls(scale=0.02, trials=1)),
+        )
+        for env, flags in (("1", ()), ("", ("--full",))):
+            monkeypatch.setenv("REPRO_FULL", env)
+            code, text = run_cli("experiment", "fig6", *flags)
+            assert code == 0
+            assert "Figure 6" in text
+
+    def test_experiment_all_honours_repro_full(self, monkeypatch):
+        """``experiment all`` runs every artifact's paper config under
+        REPRO_FULL=1."""
+        from repro.experiments import report as report_mod
+
+        class StubConfig:
+            @classmethod
+            def quick(cls):
+                raise AssertionError("the quick config ran under REPRO_FULL=1")
+
+            @classmethod
+            def paper(cls):
+                return "paper config"
+
+        monkeypatch.setattr(
+            report_mod, "ARTIFACTS",
+            {"stub": (StubConfig, lambda config: config, lambda r: f"ran {r}")},
+        )
+        monkeypatch.setenv("REPRO_FULL", "1")
+        code, text = run_cli("experiment", "all")
+        assert code == 0
+        assert "ran paper config" in text
 
     def test_ablation_runs(self, monkeypatch):
         from repro.experiments import ablations as abl

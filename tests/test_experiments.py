@@ -5,9 +5,16 @@ renderable result; the *shape* assertions against the paper live in
 ``test_integration.py`` and the benchmark suite.
 """
 
+import pickle
+from functools import partial
+
 import numpy as np
 import pytest
 
+from repro.baselines.random_search import RandomSearcher
+from repro.baselines.randomplus_search import RandomPlusSearcher
+from repro.core.config import ExSampleConfig
+from repro.core.sampler import ExSampleSearcher
 from repro.experiments import (
     ablations,
     default_config,
@@ -18,12 +25,20 @@ from repro.experiments import (
     fig6,
     table1,
 )
+from repro.experiments.parallel import clear_dataset_engines, dataset_engine
 from repro.experiments.runner import (
     is_full_scale,
+    make_searcher,
     median_samples_to,
-    repeated_traces,
+    median_savings,
     sample_grid,
+    savings_trial,
 )
+from repro.theory.instances import InstancePopulation, even_chunk_bounds
+from repro.theory.temporal_sim import TemporalEnvironment
+from repro.utils.rng import RngFactory
+
+from tests.conftest import traces_equal
 
 
 class TestRunnerHelpers:
@@ -62,6 +77,83 @@ class TestRunnerHelpers:
         failed = trace([0, 0])
         assert median_samples_to([reached, reached, failed], 2) == 2.0
         assert median_samples_to([failed, failed, reached], 2) is None
+
+    def test_make_searcher_matches_direct_construction(self):
+        """The registry-built run draws exactly what the direct constructor
+        draws on the same stream and config."""
+        rngs = RngFactory(5).child("make-searcher")
+        population = InstancePopulation.place(
+            300, 200_000, 400, rngs.stream("pop"), skew_fraction=1 / 16
+        )
+        bounds = even_chunk_bounds(200_000, 16)
+        kwargs = {"policy": "bayes_ucb", "batch_size": 4}
+        cases = (
+            ("exsample", ("ex", "variant"), kwargs,
+             lambda env, rng, i: ExSampleSearcher(
+                 env, ExSampleConfig(seed=i, **kwargs), rng=rng
+             )),
+            ("random", ("rnd",), {},
+             lambda env, rng, i: RandomSearcher(env, rng=rng)),
+            ("randomplus", ("rp",), {},
+             lambda env, rng, i: RandomPlusSearcher(env, rng=rng)),
+        )
+        for method, key, config_kwargs, build in cases:
+            for run_idx in (0, 1):
+                built = make_searcher(
+                    method, population, bounds, rngs, key, config_kwargs, run_idx
+                )
+                reference = build(
+                    TemporalEnvironment(population, bounds),
+                    rngs.child(*key, run_idx),
+                    run_idx,
+                )
+                assert type(built) is type(reference)
+                trace = built.run(frame_budget=300)
+                assert trace.num_samples == 300
+                assert traces_equal(trace, reference.run(frame_budget=300))
+
+    def test_median_savings_none_where_no_trial_reached_a_ratio(self):
+        tasks = [("ds", "a", 0), ("ds", "a", 1), ("ds", "b", 0), ("ds", "b", 1)]
+        results = [
+            {0.5: 2.0, 0.9: None},
+            {0.5: 4.0, 0.9: None},
+            {0.5: None, 0.9: None},
+            {0.5: None, 0.9: None},
+        ]
+        assert median_savings(tasks, results, (0.5, 0.9)) == {
+            ("ds", "a"): {0.5: 3.0, 0.9: None},
+            ("ds", "b"): {0.5: None, 0.9: None},
+        }
+
+    def test_make_searcher_partial_survives_a_pickle(self):
+        """A partial over every argument but the run index is the factory
+        that ``parallel_traces`` ships to workers: after a pickle round trip
+        it builds the same runs, and each run index draws its own stream."""
+        rngs = RngFactory(6).child("make-searcher-pickle")
+        population = InstancePopulation.place(
+            300, 200_000, 400, rngs.stream("pop"), skew_fraction=1 / 16
+        )
+        bounds = even_chunk_bounds(200_000, 16)
+        factory = partial(
+            make_searcher, "exsample", population, bounds, rngs, ("ex",),
+            {"batch_size": 4},
+        )
+        shipped = pickle.loads(pickle.dumps(factory))
+        runs = [factory(run_idx).run(frame_budget=300) for run_idx in (0, 1)]
+        for run_idx, trace in enumerate(runs):
+            assert traces_equal(trace, shipped(run_idx).run(frame_budget=300))
+        assert not np.array_equal(runs[0].frames, runs[1].frames)
+
+    def test_savings_trial_depends_only_on_its_arguments(self):
+        """A trial gives the same ratios on a freshly built engine as on one
+        that other trials have used, so it runs alike in any worker."""
+        recalls = (0.1, 0.5, 0.9)
+        first = savings_trial(0.03, 0, recalls, ("dashcam", "person", 0))
+        savings_trial(0.03, 0, recalls, ("dashcam", "person", 1))
+        clear_dataset_engines()
+        assert savings_trial(0.03, 0, recalls, ("dashcam", "person", 0)) == first
+        assert set(first) == set(recalls)
+        assert all(ratio is None or ratio > 0 for ratio in first.values())
 
 
 class TestFig2:
@@ -149,6 +241,24 @@ class TestTable1:
         text = table1.format_result(result)
         assert "Table I" in text
 
+    def test_select_classes_puts_quick_classes_first(self):
+        """Under a class cap each dataset's ``QUICK_CLASSES`` lead, in their
+        listed order; without a cap every class of the dataset is kept."""
+        capped = table1.Table1Config(
+            datasets=("dashcam",), scale=0.03, max_classes=2
+        )
+        assert table1.select_classes(capped) == [
+            ("dashcam", "bicycle"),
+            ("dashcam", "traffic light"),
+        ]
+        uncapped = table1.Table1Config(
+            datasets=("dashcam",), scale=0.03, max_classes=None
+        )
+        dataset, _ = dataset_engine("dashcam", 0.03, 0)
+        assert table1.select_classes(uncapped) == [
+            ("dashcam", class_name) for class_name in dataset.classes
+        ]
+
 
 class TestFig5:
     def test_miniature_run(self):
@@ -159,6 +269,18 @@ class TestFig5:
         assert len(result.bars) == 2
         text = fig5.format_result(result)
         assert "Figure 5" in text
+
+    def test_configs_span_the_six_datasets_in_artifact_order(self):
+        """Figure 5 and Table I list the six datasets in the committed
+        artifacts' row order at both scales."""
+        six = ("dashcam", "bdd1k", "bdd_mot", "amsterdam", "archie", "night_street")
+        for config in (
+            fig5.Fig5Config.quick(),
+            fig5.Fig5Config.paper(),
+            table1.Table1Config.quick(),
+            table1.Table1Config.paper(),
+        ):
+            assert config.datasets == six
 
 
 class TestFig6:
@@ -210,3 +332,28 @@ class TestAblations:
         result = ablations.batch_ablation(config)
         text = ablations.format_ablation("batch", result)
         assert "batch=1" in text
+
+    def test_rows_come_out_in_table_order(self, config):
+        """Each ablation reports its rows in the committed artifact's order."""
+        assert list(ablations.randomplus_ablation(config)) == [
+            "exsample/randomplus", "exsample/uniform", "random", "random+",
+        ]
+        assert list(ablations.policy_ablation(config)) == [
+            "thompson", "bayes_ucb", "greedy", "uniform",
+        ]
+        assert list(ablations.prior_ablation(config)) == [
+            "a0=0.01,b0=1.0", "a0=0.1,b0=1.0", "a0=1.0,b0=1.0",
+            "a0=0.1,b0=0.1", "a0=0.1,b0=10.0",
+        ]
+        assert list(ablations.batch_ablation(config)) == [
+            "batch=1", "batch=8", "batch=64",
+        ]
+
+    def test_a_row_keeps_its_streams_alone(self, config, monkeypatch):
+        """Run i of a row draws from ``rngs.child(*key, i)``: with its
+        neighbour rows dropped, a row reports the same value."""
+        full = ablations.batch_ablation(config)
+        assert full["batch=8"] is not None
+        row = next(r for r in ablations._ROWS["abl-batch"] if r[0] == "batch=8")
+        monkeypatch.setitem(ablations._ROWS, "abl-batch", (row,))
+        assert ablations.batch_ablation(config) == {"batch=8": full["batch=8"]}

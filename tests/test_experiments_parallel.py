@@ -22,7 +22,6 @@ from repro.experiments.parallel import (
     parallel_traces,
     resolve_jobs,
 )
-from repro.experiments.runner import repeated_traces, sweep_methods
 from repro.query.query import DistinctObjectQuery
 from repro.theory.instances import InstancePopulation, even_chunk_bounds
 from repro.theory.temporal_sim import TemporalEnvironment
@@ -135,10 +134,10 @@ class TestParallelTraces:
         for a, b in zip(serial, parallel):
             assert traces_equal(a, b)
 
-    def test_repeated_traces_jobs_passthrough(self, workload, monkeypatch):
-        serial = repeated_traces(workload, 3, frame_budget=400)
+    def test_jobs_default_to_repro_jobs(self, workload, monkeypatch):
+        serial = parallel_traces(workload, 3, frame_budget=400)
         monkeypatch.setenv("REPRO_JOBS", "2")
-        env_driven = repeated_traces(workload, 3, frame_budget=400)
+        env_driven = parallel_traces(workload, 3, frame_budget=400)
         for a, b in zip(serial, env_driven):
             assert traces_equal(a, b)
 
@@ -147,7 +146,7 @@ class TestParallelSweep:
     def test_identical_to_serial(self):
         dataset, engine = dataset_engine("dashcam", 0.02, 13)
         query = DistinctObjectQuery("person", limit=6)
-        serial = sweep_methods(engine, query, jobs=1)
+        serial = parallel_sweep_methods(engine, query, jobs=1)
         parallel = parallel_sweep_methods(engine, query, jobs=2)
         assert list(serial) == list(parallel)  # method order preserved
         for method in serial:

@@ -203,7 +203,7 @@ class TestEngineFactoryParity:
                 )
 
     def test_plugin_joins_method_sweeps(self):
-        from repro.experiments.runner import sweep_methods
+        from repro.experiments.parallel import parallel_sweep_methods
 
         @register_searcher("registry_test_sweep")
         def _factory(ctx):
@@ -211,7 +211,7 @@ class TestEngineFactoryParity:
 
         try:
             engine = QueryEngine(make_tiny_dataset(seed=8), seed=8)
-            outcomes = sweep_methods(
+            outcomes = parallel_sweep_methods(
                 engine, DistinctObjectQuery("car", limit=2), batch_size=8
             )
             assert tuple(outcomes) == tuple(SEARCH_METHODS)
