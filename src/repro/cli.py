@@ -506,13 +506,18 @@ def _cmd_compare(args, out) -> int:
     return 0
 
 
+#: The environment variables the execution flags set.
+_PARALLEL_ENV = ("REPRO_JOBS", "REPRO_FULL", "REPRO_MP_CONTEXT", "REPRO_CACHE")
+
+
 def _apply_parallel_env(args) -> None:
     """Propagate the execution flags to the harnesses via env.
 
     The library resolves its scale, worker count, child start method and
     cache policy from the environment (so nested code, worker processes
     and benches see one set of knobs); the CLI flags simply set them for
-    this process — worker pools inherit them.
+    the command — worker pools it starts inherit them — and :func:`main`
+    restores the earlier values when the command returns or raises.
     """
     if getattr(args, "jobs", None) is not None:
         os.environ["REPRO_JOBS"] = str(args.jobs)
@@ -881,10 +886,13 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     """CLI entry point. Returns a process exit code.
 
     A typed :class:`~repro.errors.ReproError` prints one ``error:`` line
-    and returns 1; any other exception propagates.
+    and returns 1; any other exception propagates. Either way, the
+    environment variables the execution flags set are back at their
+    earlier values (see :func:`_apply_parallel_env`).
     """
     out = out or sys.stdout
     args = build_parser().parse_args(argv)
+    saved_env = {name: os.environ.get(name) for name in _PARALLEL_ENV}
     try:
         if args.command == "list-datasets":
             return _cmd_list_datasets(out)
@@ -909,6 +917,14 @@ def main(argv: Optional[List[str]] = None, out=None) -> int:
     except ReproError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=out)
         return 1
+    finally:
+        # An in-process caller must not carry one command's flags into
+        # the next.
+        for name, value in saved_env.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
     raise AssertionError(f"unhandled command {args.command!r}")
 
 

@@ -184,7 +184,9 @@ class DetectionCache:
         # Within one event loop the lock is uncontended (asyncio never
         # preempts mid-call); it exists for thread-backed drivers.
         self._lock = threading.Lock()
-        self._store: "Dict[CacheKey, List[object]]" = (
+        # Entries are tuples, so the many frames with no detection share
+        # the empty tuple; get() and snapshot() hand out fresh lists.
+        self._store: "Dict[CacheKey, Tuple[object, ...]]" = (
             OrderedDict() if policy == "lru" else {}
         )
 
@@ -224,9 +226,8 @@ class DetectionCache:
         scope = key[0]
         with self._lock:
             store = self._store
-            try:
-                value = store[key]
-            except KeyError:
+            value = store.get(key)  # entries are tuples, never None
+            if value is None:
                 self.misses += 1
                 self._scope_misses[scope] = self._scope_misses.get(scope, 0) + 1
                 return None
@@ -240,7 +241,7 @@ class DetectionCache:
         """Memoize one frame's finished (already filtered) detections."""
         with self._lock:
             store = self._store
-            store[key] = list(detections)
+            store[key] = tuple(detections)
             if self.capacity is not None:
                 store.move_to_end(key)  # type: ignore[attr-defined]
                 while len(store) > self.capacity:

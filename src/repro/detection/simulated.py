@@ -24,25 +24,44 @@ charges per invocation, which is how the paper accounts runtime (§III:
 "runtime in ExSample is roughly proportional to the number of frames
 processed by the detector").
 
-Vectorised generation
----------------------
+Two kernels
+-----------
 
-A call generates all of its frames in one pass, whichever videos they
-belong to. :meth:`~repro.video.SyntheticWorld.visible_at` finds the
-instances visible at every ``(video, frame)`` pair with one
-``searchsorted`` into the world's segment table, and the ground-truth
-boxes and miss probabilities of all of them are computed in flat arrays.
-Only the random draws stay in the per-frame loop: each frame re-keys a
-shared generator on ``(seed, video, frame)`` and draws, in order, one
-uniform per visible instance (the miss test), a 4-vector of jitter and a
-score per kept instance, the Poisson false-positive count and the false
-positives' own variates. The re-key offsets a per-video stream base, a
-blake2b digest of ``(seed, "detect", video)``; that base and the video's
-frame bounds are computed once per detector, on the video's first frame,
-so a one-frame call pays for neither. After the loop the requested class
-is selected (skipped when no row was kept), its rows are jittered and
+The size of a call picks its kernel; no option or threshold does. A
+call of one ``(video, frame)`` pair takes the scalar kernel: every step
+of Algorithm 1 detects one frame, so every ``solo`` step and nearly
+every ``fleet`` shard call (about one frame a call) lands there, while
+the fused calls of ``batch`` (11.7 frames on average) never do.
+:meth:`~repro.video.SyntheticWorld.visible_uids` finds the frame's
+visible instances with one ``searchsorted``, and their boxes, miss
+probabilities, jitter and clipping are computed as Python floats, with
+no array set-up. A call of two or more pairs takes the fused pass,
+which generates all of its frames at once, whichever videos they belong
+to: :meth:`~repro.video.SyntheticWorld.visible_at` finds the instances
+visible at every pair with one ``searchsorted`` into the world's segment
+table, and the ground-truth boxes and miss probabilities of all of them
+are computed in flat arrays. After its draw loop the requested class is
+selected (skipped when no row was kept), its rows are jittered and
 clipped to their frames in one pass, and only then are
-:class:`~repro.detection.detections.Detection` objects built.
+:class:`~repro.detection.detections.Detection` objects built. Measured
+on a 2-vCPU VM, a one-frame call costs 12–17 µs on the scalar kernel
+against 37–46 µs through the fused pass (bdd1k, archie 0.2). In a
+two-frame call the fused pass costs 23–31 µs a frame, against 9–19 µs
+for one-frame calls; it draws level at about 6 frames on archie
+(19.0 µs) and 12 on bdd1k (13.6 against 12.6 µs), and at 12 frames it
+wins on archie alone (15.3 against 18.8 µs).
+
+Both kernels make the same draws. Each frame re-keys a shared generator
+on ``(seed, video, frame)`` and draws, in order, one uniform per visible
+instance (the miss test), a 4-vector of jitter and a score per kept
+instance, the Poisson false-positive count and the false positives' own
+variates. The re-key offsets a per-video stream base, a blake2b digest
+of ``(seed, "detect", video)``; that base and the video's frame bounds
+are computed once per detector, on the video's first frame, so a
+one-frame call pays for neither. The scalar kernel computes every value
+with the same IEEE operations, in the same order, as the fused pass's
+array expressions, and keeps numpy's tie rule for ``minimum`` and
+``maximum``, so a frame detects byte for byte alike in either kernel.
 Since every draw is keyed per frame and consumed in a fixed order, no
 output depends on how frames are grouped into calls (``detect`` and
 ``detect_batch`` agree exactly) or on the class filter.
@@ -60,6 +79,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
+from math import sqrt
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -254,17 +274,7 @@ class SimulatedDetector:
         self._charge(1)
         # Plain ints, as in detect_batch: the stream base digests the
         # video's repr, and the per-video memo must not alias int types.
-        video, frame = int(video), int(frame)
-        cache = self.cache
-        if cache is None:
-            return self._generate([video], [frame], class_filter)[0]
-        key = (self.cache_scope(), video, frame, class_filter)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        detections = self._generate([video], [frame], class_filter)[0]
-        cache.put(key, detections)
-        return detections
+        return self._detect_one(int(video), int(frame), class_filter)
 
     def detect_batch(
         self,
@@ -277,13 +287,17 @@ class SimulatedDetector:
         Returns one detection list per ``(video, frame)`` pair, identical
         to calling :meth:`detect` per frame — the per-frame rng streams are
         keyed on ``(seed, video, frame)``, so batching cannot change any
-        output. Every frame the call generates, across all its videos,
-        goes through one vectorised pass (see the module docstring).
+        output. A one-frame call takes the scalar kernel, as
+        :meth:`detect` does; otherwise every frame the call generates,
+        across all its videos, goes through one vectorised pass (see the
+        module docstring).
         """
         if len(videos) != len(frames):
             raise ConfigError("videos and frames must align")
         n = len(frames)
         self._charge(n)
+        if n == 1:
+            return [self._detect_one(int(videos[0]), int(frames[0]), class_filter)]
         cache = self.cache
         if cache is None:
             return self._generate(
@@ -324,16 +338,43 @@ class SimulatedDetector:
 
     # -- internals ---------------------------------------------------------
 
+    def _detect_one(
+        self, video: int, frame: int, class_filter: Optional[str]
+    ) -> List[Detection]:
+        """One frame through the cache, from the scalar kernel on a miss."""
+        cache = self.cache
+        if cache is None:
+            return self._generate_one(video, frame, class_filter)
+        key = (self.cache_scope(), video, frame, class_filter)
+        detections = cache.get(key)
+        if detections is None:
+            detections = self._generate_one(video, frame, class_filter)
+            cache.put(key, detections)
+        return detections
+
     def _miss_probability(self, box: BoundingBox) -> float:
         """Scalar miss probability for one ground-truth box.
 
-        The batched pipeline evaluates the same formula vectorised; this
-        form documents it (and serves tests and explorations).
+        Both kernels evaluate this formula, the fused pass as array
+        expressions and the scalar kernel inline; this form documents it
+        (and serves tests and explorations).
         """
         profile = self.profile
         side = float(np.sqrt(max(box.area, 1.0)))
         smallness = max(0.0, 1.0 - side / profile.reference_size)
         return min(profile.miss_rate + profile.small_box_penalty * smallness, 0.95)
+
+    def _video_constants(self, video: int) -> tuple:
+        """``(stream base, (w, h, w, h) bounds)`` of ``video``, memoised:
+        the blake2b digest alone costs more than a one-frame draw."""
+        constants = self._per_video.get(video)
+        if constants is None:
+            meta = self.world.repository.videos[video]
+            bounds = (float(meta.width), float(meta.height)) * 2
+            constants = self._per_video[video] = (
+                digest_keys(self.seed, "detect", video), bounds
+            )
+        return constants
 
     def _generate(
         self,
@@ -343,27 +384,23 @@ class SimulatedDetector:
     ) -> List[List[Detection]]:
         """Detections of ``class_filter`` (every class if ``None``) per pair.
 
-        The geometry — visible instances, their ground-truth boxes and
-        miss probabilities — is computed once for all pairs in flat
-        arrays, one row per visible instance, pairs in order. The loop
-        then walks the pairs and only draws: re-key on
-        ``(seed, video, frame)``, miss uniforms, jitter and scores for the
-        kept rows, the false-positive count and variates. After it, the
-        requested class is selected from the kept rows, which are jittered
-        and clipped to their frames in one pass and become objects.
-        Within a pair, detections follow ``visible_at`` order, false
-        positives last.
+        A call of one pair goes to the scalar kernel,
+        :meth:`_generate_one`. Otherwise the geometry — visible
+        instances, their ground-truth boxes and miss probabilities — is
+        computed once for all pairs in flat arrays, one row per visible
+        instance, pairs in order. The loop then walks the pairs and only
+        draws: re-key on ``(seed, video, frame)``, miss uniforms, jitter
+        and scores for the kept rows, the false-positive count and
+        variates. After it, the requested class is selected from the kept
+        rows, which are jittered and clipped to their frames in one pass
+        and become objects. Within a pair, detections follow
+        ``visible_at`` order, false positives last.
         """
+        if len(videos) == 1:
+            return [self._generate_one(videos[0], frames[0], class_filter)]
         world = self.world
         profile = self.profile
-        # Stream base and (w, h, w, h) bounds per video, memoised: the
-        # blake2b digest alone costs more than a one-frame draw.
-        per_video = self._per_video
-        for video in videos:
-            if video not in per_video:
-                meta = world.repository.videos[video]
-                bounds = (float(meta.width), float(meta.height)) * 2
-                per_video[video] = (digest_keys(self.seed, "detect", video), bounds)
+        per_video = [self._video_constants(video) for video in videos]
         uids, counts = world.visible_at(videos, frames)
         if uids.size:  # boxes, sizes and miss_p are read only for visible rows
             boxes = world.boxes_at(
@@ -385,10 +422,9 @@ class SimulatedDetector:
         score_parts: List[np.ndarray] = []
         false_positives: List[tuple] = []
         end = 0
-        for i, (video, frame, count) in enumerate(
-            zip(videos, frames, counts.tolist(), strict=True)
+        for i, (video, frame, count, (base, bounds)) in enumerate(
+            zip(videos, frames, counts.tolist(), per_video, strict=True)
         ):
-            base, bounds = per_video[video]
             rng = seeded_offset(base, frame)
             if count:
                 start, end = end, end + count
@@ -433,7 +469,7 @@ class SimulatedDetector:
                 np.minimum(moved[:, :2], moved[:, 2:], out=picked[:, :2])
                 np.maximum(moved[:, :2], moved[:, 2:], out=picked[:, 2:])
             pair_of_row = counts.cumsum().searchsorted(rows, side="right")
-            upper = np.array([per_video[video][1] for video in videos])
+            upper = np.array([bounds for _, bounds in per_video])
             np.minimum(picked, upper[pair_of_row], out=picked)
             np.maximum(picked, _ORIGIN, out=picked)
             for pair, (x1, y1, x2, y2), code, score, uid in zip(
@@ -456,6 +492,102 @@ class SimulatedDetector:
                 )
         for pair, spurious in false_positives:
             out[pair].extend(
+                d for d in spurious
+                if class_filter is None or d.class_name == class_filter
+            )
+        return out
+
+    def _generate_one(
+        self, video: int, frame: int, class_filter: Optional[str]
+    ) -> List[Detection]:
+        """The fused pass of :meth:`_generate` for one pair, in Python floats.
+
+        Each value is computed by the same IEEE operations, in the same
+        order, as in the fused pass's array expressions, and numpy's tie
+        rule for ``minimum``/``maximum`` (the second operand wins a tie,
+        which fixes the sign of a zero) is kept by writing them as
+        ``a if a < b else b`` and ``a if a > b else b``. The draws are the
+        same calls in the same order. A frame therefore detects byte for
+        byte alike alone and inside any fused call.
+        """
+        world = self.world
+        arrays = world.instance_arrays()
+        profile = self.profile
+        base, (width, height, _, _) = self._video_constants(video)
+        rng = self._frame_rng.seeded_offset(base, frame)
+        uids = world.visible_uids(video, frame)
+        kept: List[tuple] = []
+        if uids.size:
+            starts, durations = arrays.starts, arrays.durations
+            entry, exit_ = arrays.entry, arrays.exit
+            reference = profile.reference_size
+            miss_rate = profile.miss_rate
+            penalty = profile.small_box_penalty
+            uniforms = rng.random(uids.size).tolist()
+            for uid, uniform in zip(uids.tolist(), uniforms, strict=True):
+                # The ground-truth box, as in SyntheticWorld.boxes_at.
+                denom = durations.item(uid) - 1
+                t = (frame - starts.item(uid)) / (denom if denom > 1 else 1)
+                t = t if t > 0.0 else 0.0
+                t = t if t < 1.0 else 1.0
+                ex1, ey1, ex2, ey2 = entry[uid].tolist()
+                qx1, qy1, qx2, qy2 = exit_[uid].tolist()
+                x1 = ex1 + (qx1 - ex1) * t
+                y1 = ey1 + (qy1 - ey1) * t
+                x2 = ex2 + (qx2 - ex2) * t
+                y2 = ey2 + (qy2 - ey2) * t
+                # Its miss probability, then the miss test.
+                w, h = x2 - x1, y2 - y1
+                area = w * h
+                smallness = 1.0 - sqrt(area if area > 1.0 else 1.0) / reference
+                smallness = 0.0 if 0.0 > smallness else smallness
+                miss_p = miss_rate + penalty * smallness
+                if uniform >= (miss_p if miss_p < 0.95 else 0.95):
+                    kept.append((uid, x1, y1, x2, y2, w, h))
+        jitter = profile.jitter
+        if kept:
+            if jitter > 0:
+                noise = rng.normal(0.0, 1.0, size=(len(kept), 4)).tolist()
+            scores = rng.beta(*profile.score_tp, size=len(kept)).tolist()
+        spurious: List[Detection] = []  # drawn last, reported last
+        fp_rate = profile.false_positives_per_frame
+        if fp_rate > 0:
+            fp_count = int(rng.poisson(fp_rate))
+            if fp_count:
+                spurious = self._false_positives(
+                    video, frame, rng, fp_count, width, height
+                )
+
+        out: List[Detection] = []
+        if kept:
+            names, codes = arrays.class_names, arrays.class_codes
+            for k, (uid, x1, y1, x2, y2, w, h) in enumerate(kept):
+                name = names[codes.item(uid)]
+                if class_filter is not None and name != class_filter:
+                    continue
+                if jitter > 0:
+                    # x1 and x2 move by noise columns 0 and 1, y1 and y2
+                    # by columns 2 and 3, as in the fused pass.
+                    n0, n1, n2, n3 = noise[k]
+                    sx = jitter * (w if w > 1.0 else 1.0)
+                    sy = jitter * (h if h > 1.0 else 1.0)
+                    a, b = x1 + n0 * sx, x2 + n1 * sx
+                    x1, x2 = (a if a < b else b), (a if a > b else b)
+                    a, b = y1 + n2 * sy, y2 + n3 * sy
+                    y1, y2 = (a if a < b else b), (a if a > b else b)
+                x1 = x1 if x1 < width else width
+                y1 = y1 if y1 < height else height
+                x2 = x2 if x2 < width else width
+                y2 = y2 if y2 < height else height
+                box = BoundingBox(
+                    x1 if x1 > 0.0 else 0.0,
+                    y1 if y1 > 0.0 else 0.0,
+                    x2 if x2 > 0.0 else 0.0,
+                    y2 if y2 > 0.0 else 0.0,
+                )
+                out.append(Detection(video, frame, box, name, scores[k], uid))
+        if spurious:
+            out.extend(
                 d for d in spurious
                 if class_filter is None or d.class_name == class_filter
             )

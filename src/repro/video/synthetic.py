@@ -291,10 +291,14 @@ class SyntheticWorld:
     def visible_uids(self, video: int, frame: int) -> np.ndarray:
         """Uids of instances visible at (video, frame), as an int64 array.
 
-        The one-pair :meth:`visible_at`: the array-returning variant of
-        :meth:`visible`, in ``video_order``.
+        The one-pair :meth:`visible_at`, in ``video_order``: one
+        ``searchsorted`` into the segment table, whose segment's uids it
+        returns as a read-only view (the simulated detector's one-frame
+        kernel calls this per frame, so it builds no query arrays).
         """
-        return self.visible_at([video], [frame])[0]
+        keys, ptr, flat = self._visibility_table()
+        segment = keys.searchsorted((video << _FRAME_BITS) + frame, side="right")
+        return flat[ptr[segment - 1]:ptr[segment]]
 
     def visible_at(
         self, videos: Sequence[int], frames: Sequence[int]
@@ -355,6 +359,7 @@ class SyntheticWorld:
         segments = np.repeat(first - np.cumsum(spans) + spans, spans)
         segments += np.arange(segments.size)
         flat = np.repeat(ids, spans)[np.argsort(segments, kind="stable")]
+        flat.flags.writeable = False  # visible_uids hands out views of it
         ptr = np.zeros(bounds.size + 2, dtype=np.int64)
         np.cumsum(np.bincount(segments, minlength=bounds.size), out=ptr[2:])
         keys = np.concatenate([[np.iinfo(np.int64).min], bounds])

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import io
+import os
 import subprocess
 import sys
 
@@ -348,6 +349,40 @@ class TestExperimentAndAblation:
         code, text = run_cli("experiment", "all")
         assert code == 0
         assert "ran paper config" in text
+
+    def test_execution_flags_leave_the_environment_as_found(self, monkeypatch):
+        """--full and --jobs reach the command through os.environ; once
+        main() returns, or raises, os.environ is what it was before."""
+        from repro import cli
+        from repro.errors import ConfigError
+        from repro.experiments.ablations import AblationConfig
+        from repro.experiments.runner import default_config
+
+        monkeypatch.delenv("REPRO_FULL", raising=False)
+        monkeypatch.setenv("REPRO_JOBS", "3")
+        before = dict(os.environ)
+        seen = []
+
+        def run(config):
+            seen.append((os.environ.get("REPRO_FULL"), os.environ.get("REPRO_JOBS"),
+                         config.runs))
+            if len(seen) == 2:
+                raise ConfigError("typed stub failure")
+            if len(seen) == 3:
+                raise RuntimeError("untyped stub failure")
+            return "ran"
+
+        monkeypatch.setattr(cli, "ARTIFACTS", {"fig6": (AblationConfig, run, str)})
+        argv = ("experiment", "fig6", "--full", "--jobs", "2")
+        assert run_cli(*argv) == (0, "ran\n")
+        assert dict(os.environ) == before
+        assert run_cli(*argv)[0] == 1
+        assert dict(os.environ) == before
+        with pytest.raises(RuntimeError):
+            run_cli(*argv)
+        assert dict(os.environ) == before
+        assert seen == [("1", "2", AblationConfig.paper().runs)] * 3
+        assert default_config(AblationConfig) == AblationConfig.quick()
 
     def test_ablation_runs(self, monkeypatch):
         from repro.experiments import ablations as abl

@@ -60,6 +60,26 @@ class TestDetectionCacheUnit:
         got.append(3)
         assert cache.get((0, 0, None)) == [1, 2]
 
+    def test_entries_are_tuples_and_reads_are_fresh_lists(self):
+        """Entries are stored as tuples, so every frame without a detection
+        shares the empty tuple; get() and snapshot() still hand out fresh
+        lists, which callers may mutate without touching the cache."""
+        cache = DetectionCache()
+        stored = ["a"]
+        cache.put(("s", 0, 0, None), stored)
+        cache.put(("s", 0, 1, None), [])
+        cache.put(("s", 0, 2, None), [])
+        stored.append("b")
+        assert cache._store[("s", 0, 1, None)] is cache._store[("s", 0, 2, None)]
+        got = cache.get(("s", 0, 0, None))
+        assert type(got) is list and got == ["a"]
+        got.append("c")
+        snapshot = cache.snapshot("s")
+        assert all(type(value) is list for value in snapshot.values())
+        snapshot[("s", 0, 1, None)].append("d")
+        assert cache.get(("s", 0, 0, None)) == ["a"]
+        assert cache.get(("s", 0, 1, None)) == []
+
     def test_lru_evicts_least_recently_used(self):
         cache = DetectionCache(policy="lru", capacity=2)
         cache.put((0, 0, None), ["a"])

@@ -1,9 +1,12 @@
 """Tests for the simulated object detector."""
 
+import functools
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.detection.detections import Detection, filter_class, filter_score
 from repro.detection.simulated import (
@@ -178,6 +181,85 @@ class TestInterface:
             DetectorProfile(false_positives_per_frame=-1)
         with pytest.raises(ConfigError):
             DetectorProfile(jitter=-0.1)
+
+
+#: The end-to-end benchmark's worlds, built at seed 0.
+E2E_WORLDS = {"bdd1k": 1.0, "archie": 0.2, "dashcam": 0.02}
+#: Frames reach this far before a video's start and past its end.
+MARGIN = 3
+NOISY_PROFILE = DetectorProfile(
+    miss_rate=0.3, small_box_penalty=0.6, jitter=0.5, false_positives_per_frame=2.0
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _e2e_world(name):
+    """The world and, per video, its frame count and the frames around
+    each instance's first and last (where interpolation clamps)."""
+    from repro.video import make_dataset
+
+    world = make_dataset(name, scale=E2E_WORLDS[name], seed=0).world
+    arrays = world.instance_arrays()
+    edges = [set() for _ in world.repository.videos]
+    for video, start, end in zip(
+        arrays.videos.tolist(), arrays.starts.tolist(), arrays.ends.tolist(),
+        strict=True,
+    ):
+        edges[video].update((start - 1, start, end - 1, end))
+    lengths = [v.num_frames for v in world.repository.videos]
+    return world, lengths, [sorted(e) for e in edges]
+
+
+@st.composite
+def _detector_calls(draw):
+    world, lengths, edges = _e2e_world(draw(st.sampled_from(sorted(E2E_WORLDS))))
+    profile = draw(st.sampled_from([DetectorProfile(), PERFECT_PROFILE, NOISY_PROFILE]))
+    class_filter = draw(st.sampled_from(world.class_names() + [None, "zebra"]))
+    pairs = []
+    for _ in range(draw(st.integers(2, 16))):
+        video = draw(st.integers(0, len(lengths) - 1))
+        frame = draw(
+            st.integers(-MARGIN, lengths[video] + MARGIN - 1)
+            | st.sampled_from(edges[video] or [0])
+        )
+        pairs.append((video, frame))
+    seed = draw(st.integers(0, 2**16))
+    return world, profile, class_filter, pairs, seed
+
+
+def _typed_fields(detections):
+    """Every field with its type; floats by ``float.hex()``."""
+    return [
+        (type(d).__name__, type(d.box).__name__) + tuple(
+            (type(v).__name__, v.hex() if isinstance(v, float) else v)
+            for v in (
+                d.video, d.frame, d.box.x1, d.box.y1, d.box.x2, d.box.y2,
+                d.class_name, d.score, d.instance_uid,
+            )
+        )
+        for d in detections
+    ]
+
+
+class TestOneFrameKernel:
+    """A one-frame call takes the scalar kernel, a larger one the fused
+    pass; a frame must detect identically on either."""
+
+    @settings(max_examples=700, deadline=None, derandomize=True)
+    @given(_detector_calls())
+    def test_one_frame_calls_match_the_fused_pass(self, call):
+        world, profile, class_filter, pairs, seed = call
+        videos, frames = [v for v, _ in pairs], [f for _, f in pairs]
+        fused = SimulatedDetector(world, profile=profile, seed=seed).detect_batch(
+            videos, frames, class_filter
+        )
+        single = SimulatedDetector(world, profile=profile, seed=seed)
+        for video, frame, want in zip(videos, frames, fused, strict=True):
+            want = _typed_fields(want)
+            assert _typed_fields(
+                single.detect_batch([video], [frame], class_filter)[0]
+            ) == want
+            assert _typed_fields(single.detect(video, frame, class_filter)) == want
 
 
 class TestDetectionHelpers:

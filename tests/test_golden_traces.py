@@ -79,23 +79,31 @@ GOLDEN = {
 #: ``(dataset, scale, calls, max frames per call, frame margin)``.
 #: Fused calls span the 4 videos of archie at 0.2 (the ``batch``
 #: workload's repository; archie at 0.05 has one video) and repeat a
-#: pair now and then. bdd1k calls are single frames, as in ``solo``.
-#: dashcam frames reach ``margin`` frames before a video's start and
-#: past its end.
+#: pair now and then. ``*-single`` calls are single frames, as in
+#: ``solo`` and nearly every ``fleet`` shard call: bdd1k sees about one
+#: instance per frame, archie several, so there rows share a frame's
+#: draws. dashcam frames reach ``margin`` frames before a video's start
+#: and past its end.
 DETECT_CALLS = {
     "archie-fused": ("archie", 0.2, 40, 24, 0),
+    "archie-single": ("archie", 0.2, 150, 1, 0),
     "bdd1k-single": ("bdd1k", 1.0, 150, 1, 0),
     "dashcam": ("dashcam", 0.02, 30, 12, 3),
+    "dashcam-single": ("dashcam", 0.02, 150, 1, 3),
 }
 DETECT_SEED = 5
 UNKNOWN_CLASS = "zebra"
 
 #: Computed before the detector kernel was rewritten around the
-#: segment-table visibility index; they must not move.
+#: segment-table visibility index; they must not move. The two
+#: ``*-single`` digests were added later, computed with the fused pass
+#: alone, before one-frame calls got their own scalar kernel.
 GOLDEN_DETECT = {
     "detect/archie-fused": "415b350b75909edb6f74701c19d51953dc9f254214df6a57634ff4bb58ff27b8",
+    "detect/archie-single": "df636dfaba1c57a6226a4dd76cb971f6028108f30e875f910511d64f944f995a",
     "detect/bdd1k-single": "7e15c7f9f785a4649deb5ecad8732cb38d63a0cc6c9a04ad43620bd345c58290",
     "detect/dashcam": "5c53d1976677ffcdfccb77daa7e25c7120371d197236c79884d4b43d95214ac1",
+    "detect/dashcam-single": "702d4bb9463a732cdaadb73d00d2283626e50f83573a7a9ff4bb3a66143e8b25",
 }
 
 

@@ -187,8 +187,10 @@ class TestVectorisedVisibility:
         world = dataset.world
         for video in (0, 1):
             for frame in range(0, 1200, 17):
-                uids = world.visible_uids(video, frame).tolist()
-                assert uids == [i.uid for i in world.visible(video, frame)]
+                uids = world.visible_uids(video, frame)
+                assert uids.tolist() == [i.uid for i in world.visible(video, frame)]
+                # A view of the segment table, which callers cannot write.
+                assert uids.dtype == np.int64 and not uids.flags.writeable
 
     def test_visible_at_matches_interval_test(self):
         """The segment table agrees with a brute-force interval test,
